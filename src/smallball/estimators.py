@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm as _gauss
+from scipy.special import ndtr
 
 from .errors import ConfigurationError, DomainError, LadderError, PowerWarning
 from .models import BrownianBridge, CmShift, GaussianModel, Scalar, WienerPath, cm_log_weight
@@ -123,10 +123,10 @@ def _log_sup_ball_centered(eps_eff: float) -> float:
     k = 0
     while True:
         if k == 0:
-            term = _gauss.cdf(eps_eff) - _gauss.cdf(-eps_eff)
+            term = ndtr(eps_eff) - ndtr(-eps_eff)
         else:
-            up = _gauss.cdf((2 * k + 1) * eps_eff) - _gauss.cdf((2 * k - 1) * eps_eff)
-            dn = _gauss.cdf((-2 * k + 1) * eps_eff) - _gauss.cdf((-2 * k - 1) * eps_eff)
+            up = ndtr((2 * k + 1) * eps_eff) - ndtr((2 * k - 1) * eps_eff)
+            dn = ndtr((-2 * k + 1) * eps_eff) - ndtr((-2 * k - 1) * eps_eff)
             term = ((-1) ** k) * (up + dn)
         total += term
         if k > 0 and abs(term) < 1e-16 * abs(total):
@@ -168,7 +168,7 @@ def sbf_analytic(model: GaussianModel, norm_spec: NormSpec, eps: float) -> ProbE
     if isinstance(model, Scalar):
         # log(2 Phi(eps/sigma) - 1), written to stay accurate for large eps
         z = eps / model.sigma
-        lp = float(np.log1p(-2.0 * _gauss.sf(z)))
+        lp = float(np.log1p(-2.0 * ndtr(-z)))
         return ProbEstimate(min(lp, 0.0), 0.0, 0, "analytic")
     if (
         isinstance(model, WienerPath)
@@ -226,6 +226,10 @@ def ball_prob_mc(
         return ProbEstimate(math.log(3.0 / n_samples), math.inf, n_samples, "mc", bound=True)
     p = hits / n_samples
     se = math.sqrt((1.0 - p) / (n_samples * p))
+    if hits == n_samples:
+        # the plug-in error is 0 here, which only analytic estimates may
+        # report; take the error at one miss instead, 1/sqrt(n(n-1))
+        se = 1.0 / math.sqrt(n_samples * max(n_samples - 1, 1))
     if hits < 30:
         warnings.warn(
             f"only {hits} hits at eps={eps:g}; log-scale error bars are unreliable",

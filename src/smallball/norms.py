@@ -195,6 +195,76 @@ def _hoelder_batch(seg: np.ndarray, dt: float, beta: float) -> np.ndarray:
     return out
 
 
+_SCREEN_STRIDE = 16  # the sup screen reads every 16th node of the interval
+_SCREEN_BLOCK = 4096  # words per screen block; bounds the screen's scratch memory
+_F32_UNIT = 2.0**-24
+_F64_UNIT = 2.0**-53
+
+
+def _f32_shrink(roundings: int) -> float:
+    """Factor that keeps a bound below a float32 evaluation whose result
+    carries at most ``roundings`` relative roundings: 1 - 2 gamma_n, twice
+    the worst-case error of recursive summation of nonnegative terms."""
+    return 1.0 - 2.0 * (roundings + 8) * _F32_UNIT
+
+
+def distance_lower_bound(
+    test: np.ndarray, words: np.ndarray, dt: float, spec: NormSpec
+) -> np.ndarray:
+    """Lower bounds lb[i, j] on eval_norm_batch(test[i] - words[j], dt, spec).
+
+    ``test`` (k, n+1[, d]) and ``words`` (N, n+1[, d]) are the float32 arrays
+    the exact evaluation sees; the (k, N) float32 result bounds the float32
+    value eval_norm_batch returns, not just the real norm:
+
+    * sup: the max of the pointwise modulus over every 16th node of the
+      interval, a sup over a subset of the nodes the norm reads;
+    * lp with p = 2: the squared trapezoid norm by its weighted Gram
+      expansion |t|^2 + |c|^2 - 2<t, c>, one float64 GEMM per block of
+      words, less an allowance for float64 cancellation.
+
+    Each bound is scaled down by more than the float32 rounding of one exact
+    evaluation. Every other norm (lp with p != 2, hoelder, degenerate draws
+    with dt == 0) has no screen and gets lb = 0, which keeps every pair.
+    """
+    k, n_words = len(test), len(words)
+    lb = np.zeros((k, n_words), dtype=np.float32)
+    has_screen = spec.kind == "sup" or (spec.kind == "lp" and spec.p == 2.0)
+    if dt == 0.0 or not has_screen:
+        return lb
+    ia, ib = _slice_indices(test.shape[1], dt, spec.interval)
+    d = test.shape[2] if test.ndim == 3 else 1
+    if spec.kind == "sup":
+        t = test[:, ia : ib + 1 : _SCREEN_STRIDE]
+        for a in range(0, n_words, _SCREEN_BLOCK):
+            # node-major, so each node is one contiguous (k, block) pass
+            c = words[a : a + _SCREEN_BLOCK, ia : ib + 1 : _SCREEN_STRIDE]
+            c = np.ascontiguousarray(np.moveaxis(c, 1, 0))
+            out = lb[:, a : a + c.shape[1]]
+            for node in range(t.shape[1]):
+                np.maximum(out, _pointwise_modulus(t[:, node, None] - c[node][None]), out=out)
+        lb *= _f32_shrink(d)
+        return lb
+    # lp, p = 2: the trapezoid weights of eval_norm_batch, one per coordinate
+    w = np.full(ib - ia + 1, dt)
+    w[[0, -1]] = 0.5 * dt
+    w = np.repeat(w, d)
+    t = test[:, ia : ib + 1].reshape(k, -1).astype(np.float64)
+    tt = (t * t) @ w
+    tw = t * w
+    # over K coordinates the float64 error of tt + cc - 2 tc stays below
+    # (2K + 16) u (tt + cc), since |tc| <= (tt + cc) / 2
+    slack = (2 * len(w) + 16) * _F64_UNIT
+    shrink = _f32_shrink(ib - ia + 1 + d)
+    for a in range(0, n_words, _SCREEN_BLOCK):
+        c = words[a : a + _SCREEN_BLOCK, ia : ib + 1].reshape(-1, len(w)).astype(np.float64)
+        cc = (c * c) @ w
+        total = tt[:, None] + cc[None, :]
+        sq = total - 2.0 * (tw @ c.T) - slack * total
+        lb[:, a : a + len(c)] = np.sqrt(np.maximum(sq, 0.0)) * shrink
+    return lb
+
+
 def eval_norm(path: Path | np.ndarray, spec: NormSpec, dt: float | None = None) -> float:
     """Single-draw convenience wrapper around eval_norm_batch."""
     if isinstance(path, Path):

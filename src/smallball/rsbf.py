@@ -19,8 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import norm as _gauss
+from scipy.special import gammaln, log_ndtr, ndtr, ndtri
 
 from .errors import ConfigurationError, DataError, DomainError, PowerWarning
 from .estimators import (
@@ -37,7 +36,7 @@ from .norms import NormSpec, eval_norm_batch
 from .streams import RandomStream
 from .transfer import band_log_prob
 
-GATE_LOG_LEVEL = -math.log(_gauss.cdf(-3.0))  # ~ 6.6077, the probe's depth gate
+GATE_LOG_LEVEL = -math.log(ndtr(-3.0))  # ~ 6.6077, the probe's depth gate
 SHALLOW_DEPTH_FLOOR = 0.1  # nats; doubling pairs with a shallower wide ball are ignored
 
 
@@ -182,8 +181,8 @@ def _scalar_ell_exact(x: np.ndarray, eps: float) -> np.ndarray:
     # -log(Phi(x+eps) - Phi(x-eps)); the mass is even in x, and reflecting to
     # x <= 0 keeps both logcdf calls in the accurate left tail at any depth
     y = -np.abs(np.asarray(x, dtype=float))
-    a = _gauss.logcdf(y + eps)
-    b = _gauss.logcdf(y - eps)
+    a = log_ndtr(y + eps)
+    b = log_ndtr(y - eps)
     return -(a + np.log1p(-np.exp(b - a)))
 
 
@@ -660,8 +659,8 @@ def shift_inequality_check(
     if kind == "halfspace":
         if not isinstance(model, Scalar):
             raise ConfigurationError("half-space sets are scalar-model only")
-        mu_a = _gauss.cdf(param / model.sigma)
-        mu_ah = _gauss.cdf((param + float(np.asarray(shift))) / model.sigma)
+        mu_a = ndtr(param / model.sigma)
+        mu_ah = ndtr((param + float(np.asarray(shift))) / model.sigma)
         se = 0.0
     elif kind == "ball":
         if norm_spec is None:
@@ -683,8 +682,8 @@ def shift_inequality_check(
         se = math.hypot(se_a, se_h)
     else:
         raise ConfigurationError("kind must be 'ball' or 'halfspace'")
-    base = _gauss.ppf(mu_a)
-    lo, hi = _gauss.cdf(base - hn), _gauss.cdf(base + hn)
+    base = ndtri(mu_a)
+    lo, hi = ndtr(base - hn), ndtr(base + hn)
     tol = cfg.k_sigma * se + 1e-12
     rows = (
         CheckRow("shift-lower", mu_ah >= lo - tol, mu_ah, lo, f"|h|={hn:g}"),
@@ -713,7 +712,7 @@ def verify_enlarged_ball(
         exact = sbf_analytic(model, norm_spec, eps)
         phi = exact.phi
         m = 3.0 * math.sqrt(phi)
-        out_mass = 2.0 * _gauss.sf((eps + m * model.sigma) / model.sigma)
+        out_mass = 2.0 * ndtr(-(eps + m * model.sigma) / model.sigma)
         row = CheckRow("enlarged-ball", out_mass <= math.exp(-phi), out_mass,
                        math.exp(-phi), f"eps={eps:g}, exact interval arithmetic")
         return Report("enlarged-ball", (row,))

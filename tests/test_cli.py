@@ -1,13 +1,14 @@
 import argparse
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from smallball import cli
-from smallball.errors import ConfigurationError, DataError
+from smallball.errors import ConfigurationError, DataError, PowerWarning
 from smallball.models import Scalar, WienerPath
 
 
@@ -210,6 +211,27 @@ def test_main_happy_path(tmp_path, capsys):
                      "--out", str(tmp_path / "m")])
     assert code == 0
     assert "wall_time_s=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, table", [
+    (["sbf", "--model", "scalar", "--estimator", "mc", "--eps", "10"], "sbf.csv"),
+    (["rsbf", "--model", "scalar", "--eps", "9,8", "--centers", "4"], "rsbf_samples.csv"),
+])
+def test_main_all_hits_mc_is_exit_0(tmp_path, argv, table):
+    # radii so wide that every sample hits: the plug-in stderr is 0, which
+    # the estimate type reserves for analytic estimates
+    out = tmp_path / "h"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PowerWarning)
+        code = cli.main(argv + ["--samples", "1000", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    header, *rows = [line.split(",") for line in (out / table).read_text().splitlines()]
+    assert rows
+    for row in rows:
+        cell = dict(zip(header, row))
+        assert cell["bound"] == "false"
+        assert 0.0 < float(cell["stderr"]) < math.inf
+        assert math.isfinite(float(cell["phi" if "phi" in cell else "ell"]))
 
 
 def test_main_config_errors(tmp_path, capsys):

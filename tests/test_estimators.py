@@ -152,6 +152,14 @@ def test_mc_zero_hits_yields_rule_of_three_bound():
     assert est.stderr_log == math.inf
 
 
+def test_mc_all_hits_reports_one_miss_error():
+    # every draw lands in the ball: the plug-in error would be 0, which only
+    # analytic estimates may carry
+    est = ball_prob_mc(Scalar(), SUP, 10.0, 1_000, RandomStream(25))
+    assert est.log_prob == 0.0 and not est.bound
+    assert est.stderr_log == pytest.approx(1.0 / math.sqrt(1_000 * 999))
+
+
 def test_mc_validation():
     with pytest.raises(DomainError):
         ball_prob_mc(Scalar(), SUP, -1.0, 100, RandomStream(0))

@@ -7,8 +7,8 @@ from scipy.stats import norm as gauss
 
 from smallball.errors import ConfigurationError, DataError, DomainError, RangeError
 from smallball.estimators import ProbEstimate, SBFCurve
-from smallball.models import Scalar, WienerPath
-from smallball.norms import NormSpec
+from smallball.models import BrownianBridge, FiniteSpectrum, Scalar, WienerPath
+from smallball.norms import NormSpec, distance_lower_bound, eval_norm_batch, parse_norm
 from smallball.quantization import (
     REFRESH_EVERY,
     Codebook,
@@ -66,6 +66,79 @@ def test_nearest_distance_chunking_is_exact():
     base = nearest_distance(test, book, model.dt, SUP)
     assert np.array_equal(nearest_distance(test, book, model.dt, SUP, chunk=1), base)
     assert np.array_equal(nearest_distance(test, book, model.dt, SUP, chunk=7), base)
+
+
+def full_scan(test, codebook, dt, norm_spec, chunk=1024):
+    """Every (test, codeword) pair at full resolution: the unscreened float32
+    scan the screened search must reproduce bit for bit."""
+    t32 = np.asarray(test, dtype=np.float32)
+    e32 = np.asarray(codebook.entries, dtype=np.float32)
+    best = np.full(len(t32), np.inf)
+    for a in range(0, codebook.n, chunk):
+        diff = t32[:, None, ...] - e32[None, a : a + chunk, ...]
+        flat = diff.reshape((-1,) + diff.shape[2:])
+        d = eval_norm_batch(flat, dt, norm_spec).reshape(len(t32), -1)
+        np.minimum(best, d.min(axis=1), out=best)
+    return best
+
+
+def book_of(entries):
+    # floor(e^r) = len(entries) for r = log(n + 1/2)
+    return Codebook(entries, math.log(len(entries) + 0.5), RandomStream(0))
+
+
+SCAN_MODELS = {
+    "wiener-d1": WienerPath(n_steps=32),
+    "wiener-d2": WienerPath(n_steps=32, d=2),
+    "bridge": BrownianBridge(n_steps=32),
+    "finite": FiniteSpectrum((1.0, 0.5, 0.25, 0.125)),
+    "scalar": Scalar(),
+}
+SCAN_NORMS = ("sup", "sup:a=0,b=0.5", "lp:p=2", "lp:p=2,a=0.25,b=0.75", "lp:p=1.5",
+              "hoelder:beta=0.25")
+
+
+@pytest.mark.parametrize("model_name, norm", [
+    (m, n) for m in sorted(SCAN_MODELS) for n in SCAN_NORMS
+    # hoelder is undefined for degenerate (dt = 0) draws
+    if not (SCAN_MODELS[m].dt == 0.0 and n.startswith("hoelder"))
+])
+def test_screened_search_equals_full_scan(model_name, norm):
+    model = SCAN_MODELS[model_name]
+    spec = parse_norm(norm)
+    words = model.sample_values(RandomStream(89).generator(), 60)
+    # five duplicated codewords, and a test draw equal to a codeword
+    book = book_of(np.concatenate([words, words[:5]]))
+    test = model.sample_values(RandomStream(90).generator(), 40)
+    test[3] = words[7]
+    want = full_scan(test, book, model.dt, spec)
+    assert want[3] == 0.0
+    for chunk in (1, 7, 1024):
+        assert np.array_equal(nearest_distance(test, book, model.dt, spec, chunk=chunk), want)
+
+
+@pytest.mark.parametrize("norm", ("sup", "sup:a=0,b=0.5", "lp:p=2", "lp:p=2,a=0.25,b=0.75"))
+@pytest.mark.parametrize("d", (1, 2))
+def test_screen_bound_holds_under_cancellation(d, norm):
+    # codewords within 1e-4 of the test draws, all far from the origin: the
+    # Gram expansion cancels almost all of |t|^2 + |c|^2
+    model = WienerPath(n_steps=64, d=d)
+    spec = parse_norm(norm)
+    rng = RandomStream(91).generator()
+    test = model.sample_values(rng, 8)
+    noise = 1e-4 * rng.standard_normal((300,) + test.shape[1:])
+    book = book_of(50.0 + test[np.arange(300) % 8] + noise)
+    test = 50.0 + test
+    t32, e32 = test.astype(np.float32), book.entries.astype(np.float32)
+    lb = distance_lower_bound(t32, e32, model.dt, spec)
+    diff = t32[:, None, ...] - e32[None, ...]
+    exact = eval_norm_batch(diff.reshape((-1,) + diff.shape[2:]), model.dt, spec)
+    exact = exact.reshape(len(test), book.n)
+    assert np.all(lb <= exact)
+    # the screen is informative, not the trivial bound 0
+    assert np.all(lb > (0.9 if spec.kind == "lp" else 0.0) * exact)
+    assert np.array_equal(nearest_distance(test, book, model.dt, spec),
+                          full_scan(test, book, model.dt, spec))
 
 
 def test_sample_nearest_first_batch_reproducible():
