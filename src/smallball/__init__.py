@@ -104,7 +104,12 @@ from .rsbf import (
     verify_gauge_sandwich,
 )
 from .streams import RandomStream, keyed_map, worker_count
-from .transfer import band_log_prob, band_log_prob_extrapolated, band_log_profile
+from .transfer import (
+    band_log_prob,
+    band_log_prob_extrapolated,
+    band_log_probs,
+    band_log_profile,
+)
 
 __version__ = "0.1.0"
 
@@ -118,7 +123,7 @@ __all__ = [
     "Scalar", "ShapeError", "SmallballError", "SubadditiveSeries",
     "VerifierConfig", "WienerPath", "abs_moment_norm", "ball_prob_mc",
     "ball_prob_splitting", "band_log_prob", "band_log_prob_extrapolated",
-    "band_log_profile", "build_codebook", "certify_membership",
+    "band_log_probs", "band_log_profile", "build_codebook", "certify_membership",
     "check_doubling", "check_self_similarity", "check_superadditivity",
     "cm_log_weight", "cm_weight", "constant_from_soft_rate",
     "coverage_event_rate", "dirichlet_eigenvalue", "dispersion_trend",

@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .constants import (
     SubadditiveSeries,
@@ -42,9 +43,10 @@ from .models import BrownianBridge, GaussianModel, Scalar, WienerPath, parse_mod
 from .norms import NormSpec, parse_norm
 from .quantization import (
     build_codebook,
-    coverage_event_rate,
-    distortion,
+    coverage_from_distances,
+    distortion_from_distances,
     invert_gauge,
+    sample_nearest,
     verify_distortion_gauge_match,
 )
 from .rsbf import (
@@ -63,7 +65,7 @@ from .rsbf import (
     verify_gauge_sandwich,
 )
 from .streams import RandomStream
-from .transfer import band_log_prob
+from .transfer import band_log_prob, band_log_probs, transfer_applies
 
 ARTIFACT_VERSION = "1"
 
@@ -328,17 +330,12 @@ def _resolve_model(cfg: ExperimentConfig) -> GaussianModel:
     return model
 
 
-def _transfer_ok(model: GaussianModel, spec: NormSpec) -> bool:
-    return (isinstance(model, WienerPath) and model.d == 1 and spec.kind == "sup"
-            and spec.interval == (0.0, model.horizon))
-
-
 def _pick_estimator(cfg: ExperimentConfig, model: GaussianModel, spec: NormSpec) -> str:
     if cfg.estimator != "auto":
         return cfg.estimator
     if isinstance(model, Scalar):
         return "mc" if cfg.experiment == "rsbf" else "analytic"
-    if _transfer_ok(model, spec):
+    if transfer_applies(model, spec):
         return "transfer"
     if cfg.experiment == "sbf" and sbf_analytic(model, spec, 1.0) is not None:
         return "analytic"
@@ -364,15 +361,13 @@ def _centered_curve(model: GaussianModel, spec: NormSpec, eps_grid: tuple[float,
             ests.append(est)
         return SBFCurve(eps_grid, tuple(ests), model.name, spec.describe())
     if estimator == "transfer":
-        if not _transfer_ok(model, spec):
+        if not transfer_applies(model, spec):
             raise ConfigurationError(
                 "transfer pricing needs a 1-d Brownian path with the full-horizon sup norm")
-        ests = []
-        for e in eps_grid:
-            lp = band_log_prob(np.full(model.grid().shape, -e),
-                               np.full(model.grid().shape, e), model.dt, start=0.0)
-            ests.append(ProbEstimate(min(lp, 0.0), 0.0, 0, "analytic"))
-        return SBFCurve(eps_grid, tuple(ests), model.name, spec.describe())
+        band = np.outer(eps_grid, np.ones(model.grid().shape))
+        ests = tuple(ProbEstimate(min(float(lp), 0.0), 0.0, 0, "analytic")
+                     for lp in band_log_probs(-band, band, model.dt))
+        return SBFCurve(eps_grid, ests, model.name, spec.describe())
     if estimator == "mc":
         ests = []
         for j, e in enumerate(eps_grid):
@@ -392,7 +387,7 @@ def _centered_fn(model: GaussianModel, spec: NormSpec):
     """
     if isinstance(model, Scalar):
         return lambda e: sbf_analytic(model, spec, e).phi
-    if _transfer_ok(model, spec):
+    if transfer_applies(model, spec):
         grid_shape = model.grid().shape
 
         def fn(e: float) -> float:
@@ -404,18 +399,14 @@ def _centered_fn(model: GaussianModel, spec: NormSpec):
 
 
 def _eps_for_depth(depth_fn, target: float, lo: float = 1e-8, hi: float = 50.0) -> float:
-    """Invert a decreasing depth(eps) by bisection on log eps."""
-    f_lo, f_hi = depth_fn(lo), depth_fn(hi)
-    if not (f_hi <= target <= f_lo):
-        raise RangeError(f"depth {target:g} outside [{f_hi:g}, {f_lo:g}]")
-    a, b = math.log(lo), math.log(hi)
-    for _ in range(80):
-        m = 0.5 * (a + b)
-        if depth_fn(math.exp(m)) > target:
-            a = m
-        else:
-            b = m
-    return math.exp(0.5 * (a + b))
+    """Invert a decreasing depth(eps) by Brent's method on log eps."""
+    try:
+        u = brentq(lambda u: depth_fn(math.exp(u)) - target, math.log(lo), math.log(hi),
+                   xtol=1e-14)
+    except ValueError:  # the ends do not bracket the target
+        raise RangeError(
+            f"depth {target:g} outside [{depth_fn(hi):g}, {depth_fn(lo):g}]") from None
+    return math.exp(u)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -492,7 +483,7 @@ def _quantize_gauge_inverse(cfg: ExperimentConfig, model: GaussianModel, spec: N
     e_top = _eps_for_depth(centered, lo_depth)
     e_bot = _eps_for_depth(centered, hi_depth)
     eps_grid = tuple(np.geomspace(e_top, e_bot, 12))
-    est = "transfer" if _transfer_ok(model, spec) else "splitting"
+    est = "transfer" if transfer_applies(model, spec) else "splitting"
     panel = sample_rsbf(model, spec, eps_grid, cfg.centers, stream, estimator=est)
     gauge = gauge_stats(panel, centered=centered, stream=stream.spawn(9_999))
     return invert_gauge(gauge, which="mean"), gauge
@@ -509,7 +500,8 @@ def cmd_quantize(cfg: ExperimentConfig, stream: RandomStream):
     results = []
     for j, r in enumerate(cfg.r_grid):
         book = build_codebook(model, r, stream.spawn(1_000 + j))
-        res = distortion(model, spec, book, cfg.s, cfg.samples, stream.spawn(2_000 + j))
+        zs = sample_nearest(model, spec, r, cfg.samples, stream.spawn(2_000 + j), codebook=book)
+        res = distortion_from_distances(zs, r, cfg.s)
         results.append(res)
         row = {"model": model.name, "norm": spec.describe(), "s": cfg.s, "r": r,
                "n_codewords": len(book.entries), "d_hat": res.d_hat,
@@ -525,8 +517,7 @@ def cmd_quantize(cfg: ExperimentConfig, stream: RandomStream):
             if g is not None:
                 row["eps_star"] = g
                 row["ratio"] = res.d_hat / g
-                cov = coverage_event_rate(model, spec, inverse, r, cfg.kappa,
-                                          cfg.samples, stream.spawn(3_000 + j))
+                cov = coverage_from_distances(zs, g, r, cfg.kappa)
                 row["coverage_rate"] = cov.rate
                 row["coverage_se"] = cov.stderr
         rows.append(row)
@@ -638,7 +629,7 @@ def cmd_verify_all(cfg: ExperimentConfig, stream: RandomStream):
         # the scalar curve has unit doubling ratio; the lower bound on the
         # ratio is a path-model claim and would fail there by design
         reports.append(check_doubling(curve, "upper", vcfg))
-    if isinstance(model, Scalar) or _transfer_ok(model, spec):
+    if isinstance(model, Scalar) or transfer_applies(model, spec):
         e_mid = cfg.eps[len(cfg.eps) // 2]
         reports.append(lipschitz_probe(model, spec, e_mid, 32, (0.25, 0.5, 1.0),
                                        stream.spawn(5), vcfg, enforce_gate=False))

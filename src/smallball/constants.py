@@ -30,7 +30,13 @@ from .estimators import ProbEstimate, ball_prob_mc
 from .models import GaussianModel, WienerPath
 from .norms import NormSpec, eval_norm_batch
 from .streams import RandomStream
-from .transfer import band_log_prob
+from .transfer import (
+    band_log_prob,
+    band_log_prob_extrapolated,
+    band_log_probs,
+    band_log_profile,
+    transfer_applies,
+)
 
 # discrete monitoring pads the exit boundary by ~0.5826 sqrt(dt) per side
 BOUNDARY_SHIFT = 0.5825971579390107
@@ -192,14 +198,11 @@ def tilde_rsbf(
         est = ball_prob_mc(model, norm_spec, eps, n_inner, stream, center=w)
         return FreeStartEstimate(est, 0.0)
     if estimator == "transfer":
-        if not (isinstance(model, WienerPath) and model.d == 1 and norm_spec.kind == "sup"
-                and norm_spec.interval == (0.0, model.horizon)):
+        if not transfer_applies(model, norm_spec):
             raise ConfigurationError(
                 "transfer free-start estimates need a 1-d Brownian path and the "
                 "full-horizon sup norm"
             )
-        from .transfer import band_log_profile
-
         x, logv = band_log_profile(w - eps, w + eps, model.dt)
         k = int(np.argmax(logv))
         lp = float(logv[k])
@@ -265,8 +268,8 @@ def lambda_hard(
     per_center: dict[float, tuple[float, ...]] = {}
     means, ses = [], []
     for a in a_grid:
-        k = round(a / dt)
-        costs = np.array([unit_tube_cost(paths[i, : k + 1], dt, radius) for i in range(n_centers)])
+        w = paths[:, : round(a / dt) + 1]
+        costs = -band_log_probs(w - radius, w + radius, dt, start=None)
         per_center[a] = tuple(costs)
         means.append(float(costs.mean()))
         ses.append(float(costs.std(ddof=1) / math.sqrt(n_centers)))
@@ -567,8 +570,7 @@ def estimate_constant(
         raise ConfigurationError("subadditive mode supports sup and integral norms")
     if mode != "eps_fit":
         raise ConfigurationError(f"unknown mode {mode!r}")
-    if not (isinstance(model, WienerPath) and model.d == 1 and norm_spec.kind == "sup"
-            and norm_spec.interval == (0.0, model.horizon)):
+    if not transfer_applies(model, norm_spec):
         raise ConfigurationError("eps_fit pricing is wired for the 1-d full-horizon sup norm")
     eps_grid = params.get("eps_grid")
     if eps_grid is None:
@@ -577,14 +579,9 @@ def estimate_constant(
         eps_grid = tuple(np.geomspace(math.sqrt(k0 / 5.0), math.sqrt(k0 / 20.0), 4))
     n_centers = int(params.get("n_centers", 64))
     centers = model.sample_values(stream.spawn(0).generator(), n_centers)
-    from .transfer import band_log_prob_extrapolated
-
     means, ses = [], []
     for eps in eps_grid:
-        costs = np.array([
-            -band_log_prob_extrapolated(centers[i] - eps, centers[i] + eps, model.dt, start=0.0)
-            for i in range(n_centers)
-        ])
+        costs = -band_log_prob_extrapolated(centers - eps, centers + eps, model.dt, start=0.0)
         means.append(float(costs.mean()))
         ses.append(float(costs.std(ddof=1) / math.sqrt(n_centers)))
     x = np.array([e ** (-gamma) for e in eps_grid])

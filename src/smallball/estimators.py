@@ -60,8 +60,9 @@ class ProbEstimate:
 
     @property
     def phi(self) -> float:
-        """The negative log mass, the quantity most curves are drawn in."""
-        return -self.log_prob
+        """The negative log mass, the quantity most curves are drawn in; a
+        full ball is +0.0, never -0.0."""
+        return 0.0 - self.log_prob
 
 
 @dataclass(frozen=True)

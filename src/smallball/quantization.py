@@ -177,11 +177,18 @@ def distortion(
     D = (E Z^s)^(1/s) over fresh test draws and refreshed codebooks; stderr
     by the delta method through the 1/s power.
     """
+    zs = sample_nearest(model, norm_spec, codebook.r, n_test, stream, codebook=codebook)
+    return distortion_from_distances(zs, codebook.r, s)
+
+
+def distortion_from_distances(zs: np.ndarray, r: float, s: float) -> QuantizationResult:
+    """``distortion`` summarized from the distances ``sample_nearest`` drew,
+    REFRESH_EVERY draws per codebook."""
     if s <= 0:
         raise DomainError(f"moment order s must be positive, got {s}")
+    n_test = len(zs)
     if n_test < 100:
         raise ConfigurationError("n_test must be >= 100")
-    zs = sample_nearest(model, norm_spec, codebook.r, n_test, stream, codebook=codebook)
     zp = zs**s
     m = float(zp.mean())
     # draws within one refresh batch share a codebook, so the honest error
@@ -198,7 +205,7 @@ def distortion(
     d = m ** (1.0 / s)
     se_d = (1.0 / s) * m ** (1.0 / s - 1.0) * se_m
     qs = tuple(float(q) for q in np.quantile(zs, Z_QUANTILE_PROBS))
-    return QuantizationResult(codebook.r, s, d, se_d, n_test, qs)
+    return QuantizationResult(r, s, d, se_d, n_test, qs)
 
 
 def coverage_event_rate(
@@ -216,6 +223,13 @@ def coverage_event_rate(
         raise ConfigurationError(f"kappa must be in (0, 1), got {kappa}")
     g = float(gauge_inverse(r))
     zs = sample_nearest(model, norm_spec, r, n_test, stream)
+    return coverage_from_distances(zs, g, r, kappa)
+
+
+def coverage_from_distances(zs: np.ndarray, g: float, r: float, kappa: float) -> CoverageRate:
+    """``coverage_event_rate`` summarized from drawn distances, with g the
+    gauge inverse at r."""
+    n_test = len(zs)
     hit = (zs >= (1.0 - kappa) * g) & (zs <= (1.0 + kappa) * g)
     p = float(hit.mean())
     se = math.sqrt(max(p * (1.0 - p), 1.0 / n_test) / n_test)

@@ -31,10 +31,10 @@ from .estimators import (
     pilot_curve,
     sbf_analytic,
 )
-from .models import GaussianModel, Scalar, WienerPath, rkhs_norm
+from .models import GaussianModel, Scalar, rkhs_norm
 from .norms import NormSpec, eval_norm_batch
 from .streams import RandomStream
-from .transfer import band_log_prob
+from .transfer import band_log_prob, band_log_probs, transfer_applies
 
 GATE_LOG_LEVEL = -math.log(ndtr(-3.0))  # ~ 6.6077, the probe's depth gate
 SHALLOW_DEPTH_FLOOR = 0.1  # nats; doubling pairs with a shallower wide ball are ignored
@@ -141,22 +141,6 @@ class GaugeCurve:
                     bad += 1
         return bad
 
-    def convexity_violations(self, k_sigma: float = 3.0) -> int:
-        """Mean-vs-eps chords must not dip below the curve beyond noise."""
-        e = np.array(self.eps_grid)
-        m = np.array(self.mean)
-        se = np.array(self.mean_se)
-        bad = 0
-        for j in range(1, len(e) - 1):
-            lam = (e[j] - e[j - 1]) / (e[j + 1] - e[j - 1])
-            chord = (1 - lam) * m[j - 1] + lam * m[j + 1]
-            noise = k_sigma * math.sqrt(
-                ((1 - lam) * se[j - 1]) ** 2 + se[j] ** 2 + (lam * se[j + 1]) ** 2
-            )
-            if m[j] > chord + noise:
-                bad += 1
-        return bad
-
 
 def abs_moment_norm(q: float) -> float:
     """L^q norm of a standard normal: (E|Z|^q)^(1/q), exact via the
@@ -232,15 +216,14 @@ def sample_rsbf(
         return out
 
     if estimator == "transfer":
-        if not (isinstance(model, WienerPath) and model.d == 1):
-            raise ConfigurationError("transfer estimator needs a 1-d Brownian path model")
-        if norm_spec.kind != "sup" or norm_spec.interval != (0.0, model.horizon):
-            raise ConfigurationError("transfer estimator needs the sup norm on the full horizon")
+        if not transfer_applies(model, norm_spec):
+            raise ConfigurationError("transfer estimator needs a 1-d Brownian path model "
+                                     "and the sup norm on the full horizon")
+        lps = [band_log_probs(centers - eps, centers + eps, model.dt) for eps in eps_grid]
         for i in range(n_centers):
-            w = centers[i]
-            for eps in eps_grid:
-                lp = band_log_prob(w - eps, w + eps, model.dt, start=0.0)
-                out.append(RSBFSample(i, eps, ProbEstimate(min(lp, 0.0), 0.0, 0, "analytic")))
+            for eps, lp in zip(eps_grid, lps):
+                out.append(RSBFSample(i, eps, ProbEstimate(min(float(lp[i]), 0.0), 0.0, 0,
+                                                           "analytic")))
         return out
 
     if estimator != "splitting":
@@ -345,8 +328,10 @@ def gauge_stats(
         med_ci.append((float(lo), float(hi)))
         for p in mom:
             mom[p].append(float(np.mean(ell**p) ** (1.0 / p)))
-            if centered:
-                mbound[p].append(moment_upper_bound(centered(eps / 2.0), p))
+        if mbound:
+            phi_half = centered(eps / 2.0)
+            for p in mbound:
+                mbound[p].append(moment_upper_bound(phi_half, p))
     return GaugeCurve(
         eps_grid=tuple(eps_grid),
         n_centers=len(next(iter(groups.values()))),
@@ -478,8 +463,7 @@ def _log_ball_mass_fn(model: GaussianModel, norm_spec: NormSpec, radius: float):
         def f(center) -> float:
             return -float(_scalar_ell_exact(np.asarray(float(center)), radius))
         return f
-    if isinstance(model, WienerPath) and model.d == 1 and norm_spec.kind == "sup" \
-            and norm_spec.interval == (0.0, model.horizon):
+    if transfer_applies(model, norm_spec):
         def f(center) -> float:
             c = np.asarray(center, dtype=float)
             return band_log_prob(c - radius, c + radius, model.dt, start=0.0)

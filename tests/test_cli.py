@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from smallball import cli
-from smallball.errors import ConfigurationError, DataError, PowerWarning
+from smallball.errors import ConfigurationError, DataError, PowerWarning, RangeError
 from smallball.models import Scalar, WienerPath
 
 
@@ -232,6 +232,10 @@ def test_main_all_hits_mc_is_exit_0(tmp_path, argv, table):
         assert cell["bound"] == "false"
         assert 0.0 < float(cell["stderr"]) < math.inf
         assert math.isfinite(float(cell["phi" if "phi" in cell else "ell"]))
+    # a full ball has cost +0; no table may carry a signed zero
+    for written in out.glob("*.csv"):
+        for line in written.read_text().splitlines():
+            assert "-0" not in line.split(","), written.name
 
 
 def test_main_config_errors(tmp_path, capsys):
@@ -307,6 +311,36 @@ def test_plotdata_from_constants_run(tmp_path):
     assert "fig_rate_vs_a.csv" in names
     lines = check_fig(out / "fig_rate_vs_a.csv")
     assert any("rate-hard" in line for line in lines[1:])
+
+
+def test_quantize_scans_each_rate_once(tmp_path, monkeypatch):
+    calls = []
+    real = cli.sample_nearest
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_nearest", counted)
+    code, out, _ = run_cfg(tmp_path, "q1", experiment="quantize", model="wiener:n=32",
+                           seed="23", r_grid="2,4", samples="512", centers="32")
+    assert code in (0, 3)
+    assert calls == [2.0, 4.0]
+    header, *rows = (out / "quantize.csv").read_text().splitlines()
+    assert any(dict(zip(header.split(","), r.split(",")))["coverage_rate"] for r in rows)
+
+
+def test_eps_for_depth_inverts_to_tight_tolerance():
+    calls = []
+
+    def depth(e):
+        calls.append(e)
+        return 2.0 / e**2
+
+    assert cli._eps_for_depth(depth, 8.0) == pytest.approx(0.5, rel=1e-13)
+    assert len(calls) < 80
+    with pytest.raises(RangeError):
+        cli._eps_for_depth(depth, 1e-6)
 
 
 def test_plotdata_from_quantize_run(tmp_path):

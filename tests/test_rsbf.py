@@ -203,8 +203,15 @@ def test_gauge_iqr_matches_quantile_oracle():
 
 def test_gauge_moments_respect_deterministic_bound():
     _, panel = exact_scalar_panel((0.2, 0.1), 800)
-    gauge = gauge_stats(panel, moment_p=(1, 2), centered=scalar_phi,
+    priced = []
+
+    def centered(e):
+        priced.append(e)
+        return scalar_phi(e)
+
+    gauge = gauge_stats(panel, moment_p=(1, 2), centered=centered,
                         stream=RandomStream(57), n_boot=50)
+    assert priced == [0.1, 0.05]  # each half radius priced once, for every order
     for p in (1, 2):
         for got, cap in zip(gauge.moments[p], gauge.moment_bounds[p]):
             assert got <= cap
