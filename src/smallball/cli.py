@@ -8,8 +8,9 @@ the worker count only changes wall time, floats are serialized at full
 round-trip precision, and the manifest carries no clock. Wall time goes to
 stderr instead, next to the machine-readable error reports.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error, 3 at least
-one decisive verifier row failed.
+Exit codes: 0 success, 1 configuration error, 2 runtime error (an unexpected
+exception included, reported with the kind "internal"), 3 at least one
+decisive verifier row failed.
 """
 from __future__ import annotations
 
@@ -65,7 +66,7 @@ from .rsbf import (
     verify_gauge_sandwich,
 )
 from .streams import RandomStream
-from .transfer import band_log_prob, band_log_probs, transfer_applies
+from .transfer import CELLS_PER_STEP_SD, band_log_prob, band_log_probs, transfer_applies
 
 ARTIFACT_VERSION = "1"
 
@@ -398,15 +399,29 @@ def _centered_fn(model: GaussianModel, spec: NormSpec):
     return None
 
 
+def _finite_depth_floor(model: GaussianModel, spec: NormSpec) -> float:
+    """A radius just above the smallest one at which the _centered_fn depth
+    is finite. A swept band narrower than a quarter grid cell (dx =
+    sqrt(dt)/8) holds one cell, which misses the start 0, so its depth is
+    +inf; the closed forms are finite down to any radius."""
+    if transfer_applies(model, spec):
+        return 0.25 * (1.0 + 2.0**-20) * math.sqrt(model.dt) / CELLS_PER_STEP_SD
+    return 1e-8
+
+
 def _eps_for_depth(depth_fn, target: float, lo: float = 1e-8, hi: float = 50.0) -> float:
-    """Invert a decreasing depth(eps) by Brent's method on log eps."""
+    """Invert a decreasing depth(eps) on [lo, hi] by Brent's method in
+    v = eps**-2 to 1e-14 relative. A small-ball depth grows like c / eps**2,
+    so it is nearly linear in v: the first steps land near the root, not on
+    the flat wide end where depth is about 0 and every band sweep is widest.
+    """
     try:
-        u = brentq(lambda u: depth_fn(math.exp(u)) - target, math.log(lo), math.log(hi),
-                   xtol=1e-14)
+        v = brentq(lambda v: depth_fn(v**-0.5) - target, hi**-2, lo**-2,
+                   xtol=1e-300, rtol=1e-14)
     except ValueError:  # the ends do not bracket the target
         raise RangeError(
             f"depth {target:g} outside [{depth_fn(hi):g}, {depth_fn(lo):g}]") from None
-    return math.exp(u)
+    return v**-0.5
 
 
 # -- subcommands -------------------------------------------------------------
@@ -480,8 +495,9 @@ def _quantize_gauge_inverse(cfg: ExperimentConfig, model: GaussianModel, spec: N
     # centered depth, so bracket generously on both ends
     lo_depth = max(0.1, min(positive) / 8.0) if positive else 0.1
     hi_depth = 1.1 * max(cfg.r_grid) + 1.0
-    e_top = _eps_for_depth(centered, lo_depth)
-    e_bot = _eps_for_depth(centered, hi_depth)
+    lo = _finite_depth_floor(model, spec)
+    e_top = _eps_for_depth(centered, lo_depth, lo)
+    e_bot = _eps_for_depth(centered, hi_depth, lo)
     eps_grid = tuple(np.geomspace(e_top, e_bot, 12))
     est = "transfer" if transfer_applies(model, spec) else "splitting"
     panel = sample_rsbf(model, spec, eps_grid, cfg.centers, stream, estimator=est)
@@ -869,6 +885,8 @@ def main(argv=None) -> int:
         return _emit_error(type(exc).__name__, str(exc), 2)
     except OSError as exc:
         return _emit_error("io", str(exc), 2)
+    except Exception as exc:  # a fault of the program or the machine, not the config
+        return _emit_error("internal", f"{type(exc).__name__}: {exc}", 2)
     sys.stderr.write(f"wall_time_s={time.monotonic() - t0:.1f}\n")
     return code
 

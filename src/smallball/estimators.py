@@ -31,7 +31,7 @@ from scipy.special import ndtr
 from .errors import ConfigurationError, DomainError, LadderError, PowerWarning
 from .models import BrownianBridge, CmShift, GaussianModel, Scalar, WienerPath, cm_log_weight
 from .norms import NormSpec, eval_norm_batch
-from .streams import RandomStream
+from .streams import RandomStream, keyed_map
 
 METHODS = ("analytic", "mc", "splitting", "cm_reweighted")
 
@@ -349,24 +349,49 @@ def _splitting_pass(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SplittingDiagnostics]:
     """One replica of the laddered estimate, shared across a batch of centers.
 
-    centers: broadcastable against sample batches of shape (B, N, ...).
+    centers: the scalar 0 (centered), or one center per batch row, (B, ...)
+    against sample batches of shape (B, N, ...).
     Returns (recorded log-probs (B, n_anchors), variances, dead mask, diag).
+
+    The replica allocates its arrays once: every move draws into the same
+    fresh-path buffer, builds the proposal rho X + s F in place and copies
+    the accepted rows back. Each value is rounded as with fresh arrays, so
+    the results do not depend on the buffering.
     """
     B = batch_shape[0]
     N = n_per_level
     s = math.sqrt(1.0 - rho * rho)
 
-    def draw(k_total: int) -> np.ndarray:
-        return model.sample_values(rng, k_total)
-
-    def distances(X: np.ndarray) -> np.ndarray:
-        flat = X.reshape((B * N,) + X.shape[2:])
-        d = eval_norm_batch(flat - np.repeat(centers, N, axis=0) if np.ndim(centers) > 0 else flat - centers, model.dt, norm_spec)
-        return d.reshape(B, N)
-
     # level 0: plain MC entry
-    X0 = draw(B * N)
-    X = X0.reshape((B, N) + X0.shape[1:])
+    X0 = model.sample_values(rng, B * N)
+    flat_shape = X0.shape
+    X = X0.reshape((B, N) + flat_shape[1:])
+    F = np.empty_like(X)  # fresh draws, then s F
+    P = np.empty_like(X)  # proposals
+    mask_shape = (B, N) + (1,) * (X.ndim - 2)  # an accept mask broadcast over nodes
+    if isinstance(model, WienerPath):
+        # the increments borrow the proposal buffer, free until P is built
+        inc_shape = (B * N, model.n_steps) + flat_shape[2:]
+        inc = P.reshape(-1)[: math.prod(inc_shape)].reshape(inc_shape)
+
+        def draw_fresh() -> None:
+            model.sample_values(rng, B * N, out=F.reshape(flat_shape), scratch=inc)
+    else:
+        def draw_fresh() -> None:
+            F.reshape(flat_shape)[...] = model.sample_values(rng, B * N)
+
+    if np.ndim(centers) == 0 and centers == 0:
+        def distances(Y: np.ndarray) -> np.ndarray:
+            return eval_norm_batch(Y.reshape(flat_shape), model.dt, norm_spec).reshape(B, N)
+    else:
+        offset = np.empty_like(X)
+        c = np.asarray(centers)
+        c = c.reshape((B, 1) + c.shape[1:]) if c.ndim > 0 else c
+
+        def distances(Y: np.ndarray) -> np.ndarray:
+            np.subtract(Y, c, out=offset)
+            return eval_norm_batch(offset.reshape(flat_shape), model.dt, norm_spec).reshape(B, N)
+
     d = distances(X)
     n_anchors = len(record_at)
     rec_log = np.full((B, n_anchors), np.nan)
@@ -404,16 +429,19 @@ def _splitting_pass(
         for b in np.flatnonzero(~dead):
             idx = np.flatnonzero(surv[b])
             take = idx[rng.integers(0, len(idx), N)]
-            X[b] = X[b][take]
+            # mode="clip" (the indices are in range) writes to out unbuffered
+            X[b] = np.take(X[b], take, axis=0, out=P[b], mode="clip")
             d[b] = d[b][take]
         acc_count = 0
         alive = ~dead
         for _ in range(n_moves):
-            F = draw(B * N).reshape(X.shape)
-            P = rho * X + s * F
+            draw_fresh()
+            np.multiply(X, rho, out=P)
+            F *= s
+            P += F
             dp = distances(P)
             ok = (dp <= hi) & alive[:, None]
-            X[ok] = P[ok]
+            np.copyto(X, P, where=ok.reshape(mask_shape))
             d[ok] = dp[ok]
             acc_count += int(ok.sum())
         denom = max(1, int(alive.sum()) * N * n_moves)
@@ -452,7 +480,7 @@ def ball_prob_splitting(
 
     ``levels`` is the decreasing ladder; eps must be its final entry (a
     one-level ladder degenerates to plain MC). Replicas run on sibling
-    streams; the reported stderr is the larger of the accumulated
+    streams, in parallel through ``keyed_map``; the reported stderr is the larger of the accumulated
     delta-method error and the between-replica spread.
     """
     if eps <= 0:
@@ -468,15 +496,13 @@ def ball_prob_splitting(
     c = _center_array(model, center)
     cb = np.asarray(c)[None, ...] if np.ndim(c) > 0 else c
     record = {levels[-1]: 0}
-    logs, vars_, diag = [], [], None
-    for r in range(n_replicas):
-        rng = stream.spawn(r).generator()
-        rec_log, rec_var, dead, diag = _splitting_pass(
-            model, norm_spec, cb, list(levels), n_per_level, rng, rho, n_moves,
-            (1, n_per_level), record, strict=True,
-        )
-        logs.append(rec_log[0, 0])
-        vars_.append(rec_var[0, 0])
+    passes = keyed_map(lambda r: _splitting_pass(
+        model, norm_spec, cb, list(levels), n_per_level, stream.spawn(r).generator(), rho,
+        n_moves, (1, n_per_level), record, strict=True,
+    ), range(n_replicas))
+    logs = [rec_log[0, 0] for rec_log, _, _, _ in passes]
+    vars_ = [rec_var[0, 0] for _, rec_var, _, _ in passes]
+    diag = passes[-1][3]
     log_mean = float(np.mean(logs))
     se_formula = math.sqrt(float(np.mean(vars_)) / n_replicas)
     if n_replicas >= 2:
@@ -505,6 +531,7 @@ def sbf_curve(
 
     Grid radii are anchors of the ladder, so a single descent records the
     whole curve per replica (estimates across radii share randomness).
+    Replicas run on sibling streams, in parallel through ``keyed_map``.
     """
     eps_grid = tuple(float(e) for e in eps_grid)
     if any(eps_grid[i + 1] >= eps_grid[i] for i in range(len(eps_grid) - 1)):
@@ -515,17 +542,13 @@ def sbf_curve(
         eps_start = _default_start(pilot, eps_grid[0])
     levels = make_ladder(pilot, eps_start, eps_grid, delta_phi)
     record = {e: j for j, e in enumerate(eps_grid)}
-    logs = np.zeros((n_replicas, len(eps_grid)))
-    vars_ = np.zeros_like(logs)
-    diag = None
-    for r in range(n_replicas):
-        rng = stream.spawn(r).generator()
-        rec_log, rec_var, dead, diag = _splitting_pass(
-            model, norm_spec, 0.0, levels, n_per_level, rng, rho, n_moves,
-            (1, n_per_level), record, strict=True,
-        )
-        logs[r] = rec_log[0]
-        vars_[r] = rec_var[0]
+    passes = keyed_map(lambda r: _splitting_pass(
+        model, norm_spec, 0.0, levels, n_per_level, stream.spawn(r).generator(), rho,
+        n_moves, (1, n_per_level), record, strict=True,
+    ), range(n_replicas))
+    logs = np.array([rec_log[0] for rec_log, _, _, _ in passes])
+    vars_ = np.array([rec_var[0] for _, rec_var, _, _ in passes])
+    diag = passes[-1][3]
     ests = []
     for j, e in enumerate(eps_grid):
         m = float(logs[:, j].mean())

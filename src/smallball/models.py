@@ -233,12 +233,15 @@ class WienerPath(_GridModel):
     def dim(self) -> int:
         return self.d
 
-    def sample_values(self, rng, count):
+    def sample_values(self, rng, count, out=None, scratch=None):
+        """Draw count paths. ``out`` (count, n+1[, d]) receives the paths and
+        the C-contiguous ``scratch`` (count, n[, d]) the increments in place
+        of fresh arrays; the values are the same either way."""
         shape = (count, self.n_steps) if self.d == 1 else (count, self.n_steps, self.d)
-        inc = rng.standard_normal(shape)
+        inc = rng.standard_normal(shape, out=scratch)
         inc *= math.sqrt(self.dt)
-        out_shape = (count, self.n_steps + 1) + (() if self.d == 1 else (self.d,))
-        out = np.empty(out_shape)
+        if out is None:
+            out = np.empty((count, self.n_steps + 1) + shape[2:])
         out[:, 0] = 0.0
         np.cumsum(inc, axis=1, out=out[:, 1:])
         return out

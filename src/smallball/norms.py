@@ -94,11 +94,22 @@ class NormSpec:
         return NormSpec(self.kind, self.p, self.beta, (a / c, b / c))
 
     def describe(self) -> str:
-        if self.kind == "sup":
-            return "sup"
+        """Canonical descriptor: parse_norm(spec.describe()) == spec. The
+        interval is named unless it is parse_norm's default (0, 1)."""
+        params = []
         if self.kind == "lp":
-            return f"lp:p={self.p:g}"
-        return f"hoelder:beta={self.beta:g}"
+            params.append(f"p={_num(self.p)}")
+        elif self.kind == "hoelder":
+            params.append(f"beta={_num(self.beta)}")
+        if self.interval != (0.0, 1.0):
+            params += [f"a={_num(self.interval[0])}", f"b={_num(self.interval[1])}"]
+        return self.kind + (":" + ",".join(params) if params else "")
+
+
+def _num(x: float) -> str:
+    """Shortest text that parses back to x, without a trailing '.0'."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
 
 
 def parse_norm(text: str) -> NormSpec:
@@ -165,13 +176,18 @@ def eval_norm_batch(values: np.ndarray, dt: float, spec: NormSpec) -> np.ndarray
         if spec.kind == "lp":
             return (mod**spec.p).sum(axis=-1) ** (1.0 / spec.p)
         raise DomainError("hoelder norm is undefined for degenerate (gridless) draws")
-    mod_needed = spec.kind != "hoelder"
     ia, ib = _slice_indices(values.shape[1], dt, spec.interval)
     seg = values[:, ia : ib + 1]
+    scalar = seg.ndim == 2
     if spec.kind == "sup":
+        if scalar:  # max |x| without an |x| copy of the batch
+            return np.maximum(seg.max(axis=1), -seg.min(axis=1))
         return _pointwise_modulus(seg).max(axis=1)
     if spec.kind == "lp":
-        a = _pointwise_modulus(seg) ** spec.p
+        if scalar and spec.p == 2.0:
+            a = np.square(seg)  # the same values as |x| ** 2, in one pass
+        else:
+            a = _pointwise_modulus(seg) ** spec.p
         acc = a[:, 1:-1].sum(axis=1) + 0.5 * (a[:, 0] + a[:, -1])
         return (dt * acc) ** (1.0 / spec.p)
     return _hoelder_batch(seg, dt, spec.beta)

@@ -33,7 +33,7 @@ from .estimators import (
 )
 from .models import GaussianModel, Scalar, rkhs_norm
 from .norms import NormSpec, eval_norm_batch
-from .streams import RandomStream
+from .streams import RandomStream, keyed_map
 from .transfer import band_log_prob, band_log_probs, transfer_applies
 
 GATE_LOG_LEVEL = -math.log(ndtr(-3.0))  # ~ 6.6077, the probe's depth gate
@@ -242,17 +242,13 @@ def sample_rsbf(
     levels = make_ladder(pilot, eps_start, eps_grid, delta_phi)
     record = {e: j for j, e in enumerate(eps_grid)}
     B = n_centers
-    logs = np.zeros((n_replicas, B, len(eps_grid)))
-    vars_ = np.zeros_like(logs)
-    deads = np.zeros((n_replicas, B), dtype=bool)
-    for r in range(n_replicas):
-        rng = stream.spawn(100 + r).generator()
-        rec_log, rec_var, dead, _ = _splitting_pass(
-            model, norm_spec, centers, levels, n_per_level, rng, rho, n_moves,
-            (B, n_per_level), record, strict=False,
-        )
-        logs[r], vars_[r], deads[r] = rec_log, rec_var, dead
-    any_dead = deads.any(axis=0)
+    passes = keyed_map(lambda r: _splitting_pass(
+        model, norm_spec, centers, levels, n_per_level, stream.spawn(100 + r).generator(),
+        rho, n_moves, (B, n_per_level), record, strict=False,
+    ), range(n_replicas))
+    logs = np.array([rec_log for rec_log, _, _, _ in passes])
+    vars_ = np.array([rec_var for _, rec_var, _, _ in passes])
+    any_dead = np.any([dead for _, _, dead, _ in passes], axis=0)
     n_tot = n_replicas * n_per_level * len(levels)
     for i in range(B):
         for j, eps in enumerate(eps_grid):

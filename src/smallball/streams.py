@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -43,8 +43,15 @@ class RandomStream:
 
 
 def worker_count() -> int:
-    """Worker count from the environment; never affects results, only speed."""
-    raw = os.environ.get(WORKERS_ENV, "")
+    """Pool width: SMALLBALL_WORKERS when set (a value that is not an
+    integer counts as 1), else the CPUs this process may run on. It never
+    affects results, only speed."""
+    raw = os.environ.get(WORKERS_ENV, "").strip()
+    if not raw:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity masks on this platform
+            return os.cpu_count() or 1
     try:
         k = int(raw)
     except ValueError:
@@ -53,14 +60,17 @@ def worker_count() -> int:
 
 
 def keyed_map(fn: Callable[[T], U], tasks: Sequence[T], workers: int | None = None) -> list[U]:
-    """Map fn over tasks, preserving task order in the result.
+    """Map fn over tasks on a thread pool of at most one worker per task,
+    preserving task order in the result; when tasks raise, the first of
+    them in task order is re-raised.
 
     Each task must carry its own RandomStream (or be deterministic); the pool
     size therefore cannot change any value, only wall time.
     """
     if workers is None:
         workers = worker_count()
-    if workers <= 1 or len(tasks) <= 1:
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         return [fn(t) for t in tasks]
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, tasks))

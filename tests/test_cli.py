@@ -5,11 +5,14 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from smallball import cli
 from smallball.errors import ConfigurationError, DataError, PowerWarning, RangeError
 from smallball.models import Scalar, WienerPath
+from smallball.norms import parse_norm
+from smallball.streams import keyed_map
 
 
 def ns(experiment, **kw):
@@ -194,6 +197,23 @@ def test_worker_count_never_changes_bytes(tmp_path, monkeypatch):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("experiment, extra, tables", [
+    ("sbf", {}, ("sbf.csv",)),
+    ("rsbf", {"centers": "4"}, ("rsbf_samples.csv", "rsbf_gauge.csv")),
+])
+def test_splitting_bytes_do_not_depend_on_the_pool_width(tmp_path, monkeypatch,
+                                                         experiment, extra, tables):
+    # splitting is the route that runs replicas on the pool
+    blobs = []
+    for workers in ("1", "3"):
+        monkeypatch.setenv("SMALLBALL_WORKERS", workers)
+        _, out, _ = run_cfg(tmp_path, f"{experiment}-w{workers}", experiment=experiment,
+                            model="wiener:n=64", norm="lp:p=2", eps="0.3,0.2",
+                            estimator="splitting", seed="17", **extra)
+        blobs.append([(out / name).read_bytes() for name in tables + ("manifest.json",)])
+    assert blobs[0] == blobs[1]
+
+
 def test_json_format_run(tmp_path):
     code, out, _ = run_cfg(tmp_path, "j", model="scalar", seed="7", eps="1.0",
                            format="json")
@@ -260,6 +280,35 @@ def test_main_runtime_error_is_exit_2(tmp_path, monkeypatch, capsys):
     assert code == 2
     report = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert report["error"]["kind"] == "DataError"
+
+
+@pytest.mark.parametrize("fault, name", [
+    (MemoryError("Unable to allocate 64.0 GiB"), "MemoryError"),
+    (np.linalg.LinAlgError("Singular matrix"), "LinAlgError"),
+    (ValueError("operands could not be broadcast together"), "ValueError"),
+    (None, "FloatingPointError"),  # raised in a pool worker
+])
+def test_main_unexpected_exception_is_internal_exit_2(tmp_path, monkeypatch, capsys,
+                                                      fault, name):
+    def task(t):
+        if t == 1:
+            raise FloatingPointError("overflow in worker")
+        return t
+
+    def boom(cfg):
+        if fault is None:
+            return keyed_map(task, [0, 1, 2], workers=2)
+        raise fault
+
+    monkeypatch.setattr(cli, "run_experiment", boom)
+    code = cli.main(["sbf", "--seed", "5", "--model", "scalar",
+                     "--out", str(tmp_path / "x")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert report["error"]["kind"] == "internal"
+    assert report["error"]["message"].startswith(name + ": ")
 
 
 def test_failed_verdict_is_exit_3(tmp_path, monkeypatch, capsys):
@@ -341,6 +390,29 @@ def test_eps_for_depth_inverts_to_tight_tolerance():
     assert len(calls) < 80
     with pytest.raises(RangeError):
         cli._eps_for_depth(depth, 1e-6)
+
+
+def test_eps_for_depth_starts_at_the_first_finite_radius():
+    # the wiener:n=256 sup depth is +inf below a quarter cell; the inversion
+    # must never ask for it, and only the bracket check may land on the flat
+    # wide end, where each sweep spans thousands of cells
+    model = WienerPath(n_steps=256)
+    spec = parse_norm("sup")
+    depth = cli._centered_fn(model, spec)
+    lo = cli._finite_depth_floor(model, spec)
+    assert math.isfinite(depth(lo))
+    assert depth(lo / (1.0 + 2.0**-20) * (1.0 - 2.0**-20)) == math.inf
+    for target in (0.5, 9.8):
+        calls = []
+
+        def logged(e):
+            calls.append((e, depth(e)))
+            return calls[-1][1]
+
+        eps = cli._eps_for_depth(logged, target, lo)
+        assert depth(eps) == pytest.approx(target, rel=1e-9)
+        assert all(math.isfinite(d) for _, d in calls)
+        assert sum(e >= 5.0 for e, _ in calls) <= 1
 
 
 def test_plotdata_from_quantize_run(tmp_path):

@@ -19,7 +19,7 @@ from smallball.estimators import (
     shifted_ball_prob_cm,
 )
 from smallball.models import BrownianBridge, Scalar, WienerPath
-from smallball.norms import NormSpec
+from smallball.norms import NormSpec, parse_norm
 from smallball.streams import RandomStream
 from smallball.transfer import band_log_prob
 
@@ -244,6 +244,58 @@ def test_splitting_validation():
 def test_splitting_dies_loudly_on_hopeless_levels():
     with pytest.raises(LadderError):
         ball_prob_splitting(Scalar(), SUP, 1e-9, [1.0, 1e-9], 64, RandomStream(32))
+
+
+# Splitting values recorded with one fresh array per move and the replicas
+# run one after another; the reused buffers and the replica pool must give
+# them back bit for bit under every pool width.
+SBF_SPLIT_PINS = {
+    "lp:p=2": ((-2.124195564517804, -4.118648464089145),
+               (0.09605212798060345, 0.1289992877585466),
+               (0.5375, 0.41640625, 0.3359375)),
+    "sup": ((-8.504982883233838, -17.789269182210976),
+            (0.17914527801908667, 0.6811675268731289),
+            (0.003125, 0.00078125, 0.0)),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("norm", sorted(SBF_SPLIT_PINS))
+def test_sbf_curve_splitting_is_pinned(norm, workers, monkeypatch):
+    monkeypatch.setenv("SMALLBALL_WORKERS", workers)
+    curve, diag = sbf_curve(WienerPath(n_steps=64), parse_norm(norm), (0.3, 0.2),
+                            RandomStream(41), n_per_level=128)
+    log_probs, stderrs, last_accs = SBF_SPLIT_PINS[norm]
+    assert tuple(e.log_prob for e in curve.estimates) == log_probs
+    assert tuple(e.stderr_log for e in curve.estimates) == stderrs
+    assert diag.acceptance_rates[-3:] == last_accs  # the last replica's diagnostics
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_ball_prob_splitting_is_pinned(workers, monkeypatch):
+    monkeypatch.setenv("SMALLBALL_WORKERS", workers)
+    model = WienerPath(n_steps=64)
+    center = 0.5 * model.sample_values(RandomStream(5).generator(), 1)[0]
+    est, diag = ball_prob_splitting(model, SUP, 0.5, [1.2, 0.9, 0.7, 0.5], 128,
+                                    RandomStream(43), center=center)
+    assert (est.log_prob, est.stderr_log) == (-4.074261601577517, 0.20194738027669598)
+    assert diag.acceptance_rates == (1.0, 0.89453125, 0.71015625, 0.546875)
+    # a scalar model with a scalar center takes the fallback draw path
+    est, diag = ball_prob_splitting(Scalar(), SUP, 0.05, [1.0, 0.3, 0.1, 0.05], 128,
+                                    RandomStream(44), center=0.4)
+    assert (est.log_prob, est.stderr_log) == (-3.2488949370438895, 0.1437515472830776)
+    assert diag.acceptance_rates == (1.0, 0.9171875, 0.6234375, 0.246875)
+
+
+@pytest.mark.parametrize("workers", ["1", "3", "4"])
+def test_splitting_raises_the_first_replicas_ladder_error(workers, monkeypatch):
+    # replicas 0, 2 and 3 die at levels 7, 3 and 1: the later replicas fail
+    # sooner, but the error reported is replica 0's under every pool width
+    monkeypatch.setenv("SMALLBALL_WORKERS", workers)
+    levels = [1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001, 3e-4]
+    with pytest.raises(LadderError) as info:
+        ball_prob_splitting(Scalar(), SUP, levels[-1], levels, 8, RandomStream(0), n_replicas=4)
+    assert info.value.level_index == 7
 
 
 def test_sbf_curve_records_all_anchors():

@@ -54,6 +54,25 @@ def test_wiener_vector_valued_shape():
     assert np.all(vals[:, 0, :] == 0.0)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_wiener_sample_into_buffers_draws_the_same_paths(d):
+    model = WienerPath(n_steps=32, d=d)
+    fresh = model.sample_values(RandomStream(6).generator(), 9)
+    out = np.full(fresh.shape, np.nan)
+    scratch = np.empty((9, 32) + fresh.shape[2:])
+    got = model.sample_values(RandomStream(6).generator(), 9, out=out, scratch=scratch)
+    assert got is out
+    assert np.array_equal(out, fresh)
+    assert np.array_equal(np.cumsum(scratch, axis=1), out[:, 1:])  # the increments
+    # a second draw reuses the same buffers and continues the stream
+    rng = RandomStream(6).generator()
+    model.sample_values(rng, 9, out=out, scratch=scratch)
+    model.sample_values(rng, 9, out=out, scratch=scratch)
+    rng = RandomStream(6).generator()
+    model.sample_values(rng, 9)
+    assert np.array_equal(out, model.sample_values(rng, 9))
+
+
 def test_bridge_pins_both_endpoints():
     model = BrownianBridge(n_steps=32)
     vals = model.sample_values(RandomStream(5).generator(), 2_000)

@@ -142,6 +142,38 @@ def test_parse_norm_round_trips():
             parse_norm(text)
 
 
+@pytest.mark.parametrize("spec", [
+    SUP, NormSpec("sup", interval=(0.0, 0.5)), NormSpec("sup", interval=(0.25, 2.0)),
+    L2, NormSpec("lp", p=1.5, interval=(0.0, 0.5)), NormSpec("lp", p=1.0 / 3.0 + 1.0),
+    HOELDER, NormSpec("hoelder", beta=0.1, interval=(0.125, 0.875)),
+    NormSpec("hoelder", beta=1e-5),
+])
+def test_describe_round_trips_through_parse_norm(spec):
+    assert parse_norm(spec.describe()) == spec
+
+
+def test_describe_names_only_non_default_intervals():
+    # default-interval labels are the ones every table has always carried
+    assert [s.describe() for s in (SUP, L2, HOELDER)] == ["sup", "lp:p=2", "hoelder:beta=0.25"]
+    assert NormSpec("sup", interval=(0.0, 0.5)).describe() == "sup:a=0,b=0.5"
+    assert NormSpec("lp", p=2.0, interval=(0.0, 2.0)).describe() == "lp:p=2,a=0,b=2"
+
+
+@pytest.mark.parametrize("n", [16, 4096])
+def test_scalar_sup_and_l2_match_the_modulus_forms_bit_for_bit(n):
+    # eval_norm_batch reads max |x| as max(max x, -min x) and |x|^2 as x^2;
+    # both must equal the direct forms exactly, interval slices included
+    vals = WienerPath(n_steps=n).sample_values(RandomStream(8).generator(), 64)
+    dt = 1.0 / n
+    for a, b in ((0.0, 1.0), (0.25, 0.75)):
+        seg = vals[:, round(a * n) : round(b * n) + 1]
+        sup = eval_norm_batch(vals, dt, NormSpec("sup", interval=(a, b)))
+        assert np.array_equal(sup, np.abs(seg).max(axis=1))
+        sq = np.abs(seg) ** 2.0
+        l2 = (dt * (sq[:, 1:-1].sum(axis=1) + 0.5 * (sq[:, 0] + sq[:, -1]))) ** 0.5
+        assert np.array_equal(eval_norm_batch(vals, dt, NormSpec("lp", p=2.0, interval=(a, b))), l2)
+
+
 # -- structural checks -----------------------------------------------------------
 
 

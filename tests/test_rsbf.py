@@ -146,6 +146,26 @@ def test_sample_rsbf_splitting_agrees_with_transfer():
         assert abs(a.ell_hat.phi - b.ell_hat.phi) < 3.5 * b.ell_hat.stderr_log
 
 
+# values recorded with one fresh array per splitting move and the replicas
+# run one after another, (log_prob, stderr_log) per (center, radius)
+RSBF_SPLIT_PINS = [
+    (-5.499925135743209, 0.33338443705793364), (-9.884895961620998, 0.3876105092872123),
+    (-4.605792498208105, 0.532943752190237), (-10.557370436620232, 0.8554795466692058),
+    (-6.958398616118231, 0.5076153398645293), (-12.853769519023125, 0.5738005028261411),
+    (-5.709214099928246, 0.36696805166120916), (-10.16203144252183, 0.42198274322013685),
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_sample_rsbf_splitting_is_pinned(workers, monkeypatch):
+    monkeypatch.setenv("SMALLBALL_WORKERS", workers)
+    panel = sample_rsbf(WienerPath(n_steps=64), NormSpec("lp", p=2.0), (0.3, 0.2), 4,
+                        RandomStream(45), estimator="splitting", n_per_level=128)
+    assert [(s.center_id, s.eps) for s in panel] == [(i, e) for i in range(4) for e in (0.3, 0.2)]
+    assert [(s.ell_hat.log_prob, s.ell_hat.stderr_log) for s in panel] == RSBF_SPLIT_PINS
+    assert not any(s.ell_hat.bound for s in panel)
+
+
 def test_sample_rsbf_validation():
     with pytest.raises(ConfigurationError):
         sample_rsbf(Scalar(), SUP, (0.5,), 1, RandomStream(0))

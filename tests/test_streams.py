@@ -1,3 +1,6 @@
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -54,13 +57,33 @@ def test_keyed_map_streams_invariant_to_pool_size():
     assert keyed_map(draw, tasks, workers=1) == keyed_map(draw, tasks, workers=6)
 
 
+def test_keyed_map_raises_the_first_failure_in_task_order():
+    def fn(t):
+        if t in (1, 3):
+            if t == 1:
+                time.sleep(0.05)  # task 3 fails first in wall time
+            raise ValueError(f"task {t}")
+        return t
+
+    for workers in (1, 2, 4):
+        with pytest.raises(ValueError, match="task 1"):
+            keyed_map(fn, list(range(5)), workers=workers)
+
+
 @pytest.mark.parametrize(
     "raw, expected",
-    [("", 1), ("8", 8), ("garbage", 1), ("0", 1), ("-3", 1)],
+    [("8", 8), ("garbage", 1), ("0", 1), ("-3", 1)],
 )
 def test_worker_count_parsing(monkeypatch, raw, expected):
-    if raw == "":
+    monkeypatch.setenv("SMALLBALL_WORKERS", raw)
+    assert worker_count() == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity masks")
+@pytest.mark.parametrize("raw", [None, "", " "])
+def test_worker_count_defaults_to_the_affinity_mask(monkeypatch, raw):
+    if raw is None:
         monkeypatch.delenv("SMALLBALL_WORKERS", raising=False)
     else:
         monkeypatch.setenv("SMALLBALL_WORKERS", raw)
-    assert worker_count() == expected
+    assert worker_count() == len(os.sched_getaffinity(0))
