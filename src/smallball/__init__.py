@@ -59,7 +59,6 @@ from .models import (
     cm_weight,
     parse_model,
     rkhs_norm,
-    sample,
 )
 from .norms import (
     NormSpec,
@@ -131,8 +130,8 @@ __all__ = [
     "exit_time_eigenvalue", "gauge_stats", "invert_gauge", "keyed_map",
     "lambda_hard", "lambda_soft", "lipschitz_probe", "make_ladder",
     "mean_median_trend", "moment_upper_bound", "parse_model", "parse_norm",
-    "pilot_curve", "richardson_extrapolate", "rkhs_norm", "sample",
-    "sample_nearest", "sample_rsbf", "sbf_analytic", "sbf_curve",
+    "pilot_curve", "richardson_extrapolate", "rkhs_norm", "sample_nearest",
+    "sample_rsbf", "sbf_analytic", "sbf_curve",
     "shift_inequality_check", "shifted_ball_prob_cm", "soft_functional",
     "target_size", "tilde_rsbf", "unit_tube_cost", "verify_distortion_gauge_match",
     "verify_distortion_upper_bound", "verify_enclosure", "verify_enlarged_ball",

@@ -29,7 +29,7 @@ from .errors import ConfigurationError, DiagnosticError, DomainError, PowerWarni
 from .estimators import ProbEstimate, ball_prob_mc
 from .models import GaussianModel, WienerPath
 from .norms import NormSpec, eval_norm_batch
-from .streams import RandomStream
+from .streams import RandomStream, keyed_map
 from .transfer import (
     band_log_prob,
     band_log_prob_extrapolated,
@@ -251,8 +251,8 @@ def lambda_hard(
     One panel of paths is drawn on [0, max(a_grid)] and every horizon reads
     its prefix, so the series shares center noise across horizons (the
     superadditivity and ratio-trend checks then compare like with like).
-    The per-horizon costs are deterministic band sweeps; all the quoted
-    error is center-sampling error.
+    The per-horizon costs are deterministic band sweeps, one horizon per
+    pool task; all the quoted error is center-sampling error.
     """
     a_grid = tuple(float(a) for a in a_grid)
     if not a_grid or list(a_grid) != sorted(a_grid):
@@ -265,11 +265,14 @@ def lambda_hard(
     n_max = round(a_grid[-1] / dt)
     long_model = WienerPath(n_steps=n_max, horizon=a_grid[-1])
     paths = long_model.sample_values(stream.spawn(0).generator(), n_centers)
+
+    def horizon_costs(a: float) -> np.ndarray:
+        w = paths[:, : round(a / dt) + 1]
+        return -band_log_probs(w - radius, w + radius, dt, start=None)
+
     per_center: dict[float, tuple[float, ...]] = {}
     means, ses = [], []
-    for a in a_grid:
-        w = paths[:, : round(a / dt) + 1]
-        costs = -band_log_probs(w - radius, w + radius, dt, start=None)
+    for a, costs in zip(a_grid, keyed_map(horizon_costs, a_grid)):
         per_center[a] = tuple(costs)
         means.append(float(costs.mean()))
         ses.append(float(costs.std(ddof=1) / math.sqrt(n_centers)))
@@ -529,7 +532,8 @@ def estimate_constant(
     mode="eps_fit": regress the panel-mean cost against eps^-gamma with an
     intercept over a small geometric radius grid placed where the centered
     depth spans roughly [5, 20]; the slope is the constant. Centers are
-    priced by the bias-extrapolated band sweep (1-d sup norm only).
+    priced by the bias-extrapolated band sweep (1-d sup norm only), one
+    radius per pool task.
 
     mode="subadditive": delegate to the horizon series (hard for the sup
     norm, soft for integral norms) and convert rates as needed.
@@ -579,9 +583,12 @@ def estimate_constant(
         eps_grid = tuple(np.geomspace(math.sqrt(k0 / 5.0), math.sqrt(k0 / 20.0), 4))
     n_centers = int(params.get("n_centers", 64))
     centers = model.sample_values(stream.spawn(0).generator(), n_centers)
+
+    def radius_costs(eps: float) -> np.ndarray:
+        return -band_log_prob_extrapolated(centers - eps, centers + eps, model.dt, start=0.0)
+
     means, ses = [], []
-    for eps in eps_grid:
-        costs = -band_log_prob_extrapolated(centers - eps, centers + eps, model.dt, start=0.0)
+    for costs in keyed_map(radius_costs, eps_grid):
         means.append(float(costs.mean()))
         ses.append(float(costs.std(ddof=1) / math.sqrt(n_centers)))
     x = np.array([e ** (-gamma) for e in eps_grid])

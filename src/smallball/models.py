@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, ShapeError
-from .streams import RandomStream
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,10 @@ class GaussianModel:
     def sample_values(self, rng: np.random.Generator, count: int) -> np.ndarray:
         raise NotImplementedError
 
-    def sample(self, stream: RandomStream, count: int) -> list[Path]:
-        vals = self.sample_values(stream.generator(), count)
-        return [Path(v, self.dt) for v in vals]
+    @property
+    def value_shape(self) -> tuple[int, ...]:
+        """Shape of one draw: the nodes, then the dimension when above 1."""
+        return (len(self.grid()),) + ((self.dim,) if self.dim > 1 else ())
 
     # -- geometry ---------------------------------------------------------
     @property
@@ -103,9 +103,9 @@ class Scalar(GaussianModel):
     def sample_values(self, rng, count):
         return self.sigma * rng.standard_normal(count)
 
-    def sample(self, stream, count):
-        vals = self.sample_values(stream.generator(), count)
-        return [Path(np.array([v]), 0.0) for v in vals]
+    @property
+    def value_shape(self):
+        return ()
 
     def grid(self):
         return np.zeros(1)
@@ -280,12 +280,6 @@ class BrownianBridge(_GridModel):
 
 
 # -- free-function front ends ------------------------------------------------
-
-
-def sample(model: GaussianModel, stream: RandomStream, count: int) -> list[Path]:
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    return model.sample(stream, count)
 
 
 def rkhs_norm(model: GaussianModel, shift) -> float:

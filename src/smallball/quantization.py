@@ -20,18 +20,20 @@ from scipy.optimize import isotonic_regression
 
 from .errors import ConfigurationError, DataError, DomainError, RangeError
 from .estimators import SBFCurve
-from .models import GaussianModel
+from .models import GaussianModel, WienerPath
 from .norms import NormSpec, distance_lower_bound, eval_norm_batch
 from .rsbf import CheckRow, GaugeCurve, Report, VerifierConfig
-from .streams import RandomStream
+from .streams import RandomStream, keyed_map
 
 REFRESH_EVERY = 64  # test draws served by one codebook draw
+DRAW_BLOCK_BYTES = 2**20  # float64 draw buffer while a codebook is built
 Z_QUANTILE_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
 @dataclass(frozen=True)
 class Codebook:
-    """n independent model draws with the stream that built them."""
+    """n independent model draws (float32 when built here) with the stream
+    that built them."""
 
     entries: np.ndarray
     r: float
@@ -78,20 +80,35 @@ def build_codebook(
     stream: RandomStream,
     memory_budget: int = 512 * 2**20,
 ) -> Codebook:
-    """Draw the floor(e^r) codewords for rate r.
+    """Draw the floor(e^r) codewords for rate r, stored in float32, the
+    precision ``nearest_distance`` reads.
 
-    Refuses codebooks whose entry storage would exceed memory_budget bytes;
-    coarsen the model grid or lower r rather than raising the budget blindly.
+    The stream is drawn in row order, in blocks of about DRAW_BLOCK_BYTES of
+    float64, and rows are independent, so each entry is the float32 rounding
+    of the row one draw of all n would give. Refuses codebooks whose float32
+    entries would exceed memory_budget bytes; coarsen the model grid or
+    lower r rather than raising the budget blindly.
     """
     n = target_size(r)
-    probe = model.sample_values(stream.generator(), 1)
-    bytes_needed = n * probe[0].size * probe.itemsize
+    shape = model.value_shape
+    row = math.prod(shape)
+    bytes_needed = n * row * np.dtype(np.float32).itemsize
     if bytes_needed > memory_budget:
         raise ConfigurationError(
-            f"codebook at r={r:g} needs {bytes_needed / 2**20:.0f} MiB of entries, "
+            f"codebook at r={r:g} needs {bytes_needed / 2**20:.0f} MiB of float32 entries, "
             f"over the {memory_budget / 2**20:.0f} MiB budget"
         )
-    entries = model.sample_values(stream.generator(), n)
+    entries = np.empty((n,) + shape, dtype=np.float32)
+    rows = min(n, max(1, DRAW_BLOCK_BYTES // (8 * row)))
+    buffers = {}
+    if isinstance(model, WienerPath):
+        buffers = {"out": np.empty((rows,) + shape),
+                   "scratch": np.empty((rows, model.n_steps) + shape[1:])}
+    rng = stream.generator()
+    for a in range(0, n, rows):
+        k = min(rows, n - a)
+        kw = {key: buf[:k] for key, buf in buffers.items()}
+        entries[a : a + k] = model.sample_values(rng, k, **kw)
     return Codebook(entries, r, stream)
 
 
@@ -142,26 +159,25 @@ def sample_nearest(
 
     Every REFRESH_EVERY draws get a freshly built codebook (the first batch
     uses ``codebook`` when given), so the sample averages over codebook
-    randomness as the definition demands.
+    randomness as the definition demands. The test draws come in order from
+    one stream, and batch j's codebook from its own keyed stream, so the
+    batches run on the pool (``keyed_map``) without changing a value.
     """
     if n_test < 1:
         raise ConfigurationError("n_test must be >= 1")
     test_rng = stream.spawn(0).generator()
+    tests = [model.sample_values(test_rng, min(REFRESH_EVERY, n_test - a))
+             for a in range(0, n_test, REFRESH_EVERY)]
     book_stream = codebook.stream if codebook is not None else stream.spawn(1)
-    zs = np.empty(n_test)
-    done = 0
-    batch_idx = 0
-    book = codebook
-    while done < n_test:
-        if book is None:
-            book = build_codebook(model, r, book_stream.spawn(batch_idx), memory_budget)
-        k = min(REFRESH_EVERY, n_test - done)
-        test = model.sample_values(test_rng, k)
-        zs[done : done + k] = nearest_distance(test, book, model.dt, norm_spec)
-        done += k
-        batch_idx += 1
-        book = None
-    return zs
+
+    def batch(j: int) -> np.ndarray:
+        if j == 0 and codebook is not None:
+            book = codebook
+        else:
+            book = build_codebook(model, r, book_stream.spawn(j), memory_budget)
+        return nearest_distance(tests[j], book, model.dt, norm_spec)
+
+    return np.concatenate(keyed_map(batch, range(len(tests))))
 
 
 def distortion(

@@ -195,7 +195,7 @@ def sample_rsbf(
       curve and shared across centers. An ensemble that dies mid-ladder
       yields bound-flagged samples rather than an error.
     * ``transfer``  - deterministic band sweep (1-d Brownian paths, sup
-      norm over the full horizon only).
+      norm over the full horizon only), one radius per pool task.
     """
     eps_grid = tuple(sorted({float(e) for e in eps_grid}, reverse=True))
     if n_centers < 2:
@@ -219,7 +219,8 @@ def sample_rsbf(
         if not transfer_applies(model, norm_spec):
             raise ConfigurationError("transfer estimator needs a 1-d Brownian path model "
                                      "and the sup norm on the full horizon")
-        lps = [band_log_probs(centers - eps, centers + eps, model.dt) for eps in eps_grid]
+        lps = keyed_map(lambda eps: band_log_probs(centers - eps, centers + eps, model.dt),
+                        eps_grid)
         for i in range(n_centers):
             for eps, lp in zip(eps_grid, lps):
                 out.append(RSBFSample(i, eps, ProbEstimate(min(float(lp[i]), 0.0), 0.0, 0,

@@ -214,6 +214,29 @@ def test_splitting_bytes_do_not_depend_on_the_pool_width(tmp_path, monkeypatch,
     assert blobs[0] == blobs[1]
 
 
+QUANTIZE_SMALL = {"r_grid": "2,5", "samples": "200", "centers": "8"}
+
+
+@pytest.mark.parametrize("experiment, extra, tables", [
+    ("quantize", QUANTIZE_SMALL | {"norm": "sup"}, ("quantize.csv", "quantize_gauge.csv")),
+    ("quantize", QUANTIZE_SMALL | {"norm": "lp:p=2"}, ("quantize.csv",)),
+    ("constants", {"mode": "both", "a_grid": "1,2", "centers": "4"},
+     ("constants.csv", "constants_series.csv")),
+])
+def test_pooled_sweeps_and_codebooks_do_not_change_bytes(tmp_path, monkeypatch,
+                                                          experiment, extra, tables):
+    # codebook batches, transfer panels, hard-series horizons and eps_fit
+    # radii run on the pool
+    blobs = []
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("SMALLBALL_WORKERS", workers)
+        code, out, _ = run_cfg(tmp_path, f"{experiment}-w{workers}", experiment=experiment,
+                               model="wiener:n=32", seed="29", **extra)
+        assert code in (0, 3)
+        blobs.append([(out / name).read_bytes() for name in tables + ("manifest.json",)])
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
 def test_json_format_run(tmp_path):
     code, out, _ = run_cfg(tmp_path, "j", model="scalar", seed="7", eps="1.0",
                            format="json")

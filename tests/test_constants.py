@@ -201,6 +201,17 @@ def test_lambda_hard_validation():
         lambda_hard(WienerPath(n_steps=32, d=2), (1.0, 2.0), 4, RandomStream(0))
 
 
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_lambda_hard_is_pinned(workers, monkeypatch):
+    # recorded one horizon after another
+    monkeypatch.setenv("SMALLBALL_WORKERS", workers)
+    series = lambda_hard(WienerPath(n_steps=32), (1.0, 2.0, 4.0), 6, RandomStream(99))
+    assert series.values == (2.169641401774765, 4.060926912071683, 7.725651310560277)
+    assert series.stderrs == (0.34181105832494274, 0.44979911066638567, 0.7079172971171201)
+    assert series.slope == 1.8323621992442998
+    assert [len(series.per_center[a]) for a in series.a_grid] == [6, 6, 6]
+
+
 def test_lambda_hard_small_run_is_superadditive_per_path():
     model = WienerPath(n_steps=32)
     series = lambda_hard(model, (1.0, 2.0, 4.0), 6, RandomStream(99))
@@ -313,6 +324,17 @@ def test_estimate_constant_eps_fit_small():
     assert 0.5 < est.value < 15.0
     assert est.details["eps_grid"] == (0.55, 0.45)
     assert math.isfinite(est.details["intercept"])
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_estimate_constant_eps_fit_is_pinned(workers, monkeypatch):
+    # recorded one radius after another, on the default four-radius grid
+    monkeypatch.setenv("SMALLBALL_WORKERS", workers)
+    est = estimate_constant(WienerPath(n_steps=64), SUP, "eps_fit", RandomStream(105),
+                            {"n_centers": 6})
+    assert (est.value, est.stderr) == (1.6947565541806129, 0.10973236097696788)
+    assert est.details["means"] == (8.94337229286473, 13.446865952182792,
+                                    19.96973272385573, 29.307416855345938)
 
 
 def test_estimate_constant_subadditive_hard_small():

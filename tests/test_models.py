@@ -14,16 +14,13 @@ from smallball.models import (
     cm_weight,
     parse_model,
     rkhs_norm,
-    sample,
 )
 from smallball.streams import RandomStream
 
 
 def test_scalar_sample_shape_and_scale():
     model = Scalar(sigma=2.0)
-    paths = sample(model, RandomStream(1), 5)
-    assert len(paths) == 5
-    assert all(p.n_nodes == 1 and p.dt == 0.0 for p in paths)
+    assert model.sample_values(RandomStream(1).generator(), 5).shape == (5,)
     big = model.sample_values(RandomStream(1).generator(), 60_000)
     assert abs(float(big.std()) - 2.0) < 0.05
 
@@ -171,6 +168,11 @@ def test_parse_model_rejects(text):
         parse_model(text)
 
 
-def test_sample_count_validation():
-    with pytest.raises(DomainError):
-        sample(Scalar(), RandomStream(1), 0)
+
+@pytest.mark.parametrize("model", [
+    Scalar(), FiniteSpectrum(lambdas=(1.0, 0.5)), WienerPath(n_steps=8),
+    WienerPath(n_steps=8, d=3), BrownianBridge(n_steps=8),
+])
+def test_value_shape_is_the_shape_of_one_draw(model):
+    draws = model.sample_values(RandomStream(3).generator(), 2)
+    assert draws.shape == (2,) + model.value_shape

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm as gauss
 
+from smallball import quantization
 from smallball.errors import ConfigurationError, DataError, DomainError, RangeError
 from smallball.estimators import ProbEstimate, SBFCurve
 from smallball.models import BrownianBridge, FiniteSpectrum, Scalar, WienerPath
@@ -43,9 +45,34 @@ def test_build_codebook_count_and_budget():
     book = build_codebook(Scalar(), 2.0, RandomStream(80))
     assert book.n == 7
     assert book.entries.shape == (7,)
-    # 162754 paths x 4097 nodes x 8 bytes ~ 5 GiB: must refuse, not allocate
-    with pytest.raises(ConfigurationError, match="budget"):
+    # 162754 paths x 4097 nodes x 4 bytes ~ 2.5 GiB: must refuse, not allocate
+    with pytest.raises(ConfigurationError, match="needs 2544 MiB of float32 entries"):
         build_codebook(WienerPath(n_steps=4096), 12.0, RandomStream(80))
+
+
+def test_build_codebook_budget_counts_float32_bytes():
+    model = WienerPath(n_steps=32)
+    need = 20 * 33 * 4  # floor(e^3) = 20 words of 33 float32 nodes
+    assert build_codebook(model, 3.0, RandomStream(80), memory_budget=need).n == 20
+    with pytest.raises(ConfigurationError, match="budget"):
+        build_codebook(model, 3.0, RandomStream(80), memory_budget=need - 1)
+
+
+@pytest.mark.parametrize("model", [
+    WienerPath(n_steps=32), WienerPath(n_steps=32, d=2), BrownianBridge(n_steps=32),
+    FiniteSpectrum((1.0, 0.5, 0.25)), Scalar(),
+], ids=["wiener-d1", "wiener-d2", "bridge", "finite", "scalar"])
+@pytest.mark.parametrize("block_bytes", [None, 1000])
+def test_codebook_entries_are_float32_of_one_draw(model, block_bytes, monkeypatch):
+    # 1000 bytes hold 3 wiener-d1 rows, so 20 words come in 7 blocks, the
+    # last one partial; the default block holds all 20
+    if block_bytes is not None:
+        monkeypatch.setattr(quantization, "DRAW_BLOCK_BYTES", block_bytes)
+    stream = RandomStream(89)
+    book = build_codebook(model, 3.0, stream)
+    want = model.sample_values(stream.generator(), 20).astype(np.float32)
+    assert book.entries.dtype == np.float32
+    assert np.array_equal(book.entries, want)
 
 
 def test_codebook_rejects_wrong_count():
@@ -154,6 +181,35 @@ def test_sample_nearest_first_batch_reproducible():
     assert np.array_equal(zs[:REFRESH_EVERY], manual)
     # later batches use fresh codebooks, so the law cannot be batch-periodic
     assert not np.array_equal(zs[:36], zs[64:100])
+
+
+def digest(values) -> str:
+    raw = np.ascontiguousarray(values, dtype=np.float64).tobytes()
+    return hashlib.sha256(raw).hexdigest()[:16]
+
+
+# recorded one batch after another: (sha256 prefix, first, last) of 200
+# distances at r=7 (1096 words) in 4 batches, the last one partial
+SAMPLE_NEAREST_PINS = {
+    ("sup", False): ("1412dc80d83ffb21", 0.6239690184593201, 0.5591850280761719),
+    ("sup", True): ("a315943623416a68", 0.5160760283470154, 0.44885683059692383),
+    ("lp:p=2", False): ("47f2ffafe10cd622", 0.2524123191833496, 0.22970828413963318),
+    ("lp:p=2", True): ("258da1683fc48fc8", 0.22921490669250488, 0.20773737132549286),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("norm, given", list(SAMPLE_NEAREST_PINS))
+def test_sample_nearest_is_pinned(norm, given, workers, monkeypatch):
+    monkeypatch.setenv("SMALLBALL_WORKERS", workers)
+    model, spec = WienerPath(n_steps=64), parse_norm(norm)
+    if given:
+        book = build_codebook(model, 7.0, RandomStream(62))
+        zs = sample_nearest(model, spec, 7.0, 200, RandomStream(63), codebook=book)
+    else:
+        zs = sample_nearest(model, spec, 7.0, 200, RandomStream(61))
+    assert zs.shape == (200,)
+    assert (digest(zs), zs[0], zs[-1]) == SAMPLE_NEAREST_PINS[norm, given]
 
 
 def test_distortion_anchor_two_moment():

@@ -166,6 +166,25 @@ def test_sample_rsbf_splitting_is_pinned(workers, monkeypatch):
     assert not any(s.ell_hat.bound for s in panel)
 
 
+# recorded one radius after another: log_prob per (center, radius)
+RSBF_TRANSFER_PINS = [
+    -5.785975319626565, -8.701125157930928, -14.223806244323336,
+    -5.614795033416418, -8.707380643058167, -14.691350148090105,
+    -6.153322992981129, -9.221883864946683, -14.558041850622976,
+    -9.5586208075415, -13.490977998883686, -20.40221215359041,
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_sample_rsbf_transfer_is_pinned(workers, monkeypatch):
+    monkeypatch.setenv("SMALLBALL_WORKERS", workers)
+    panel = sample_rsbf(WienerPath(n_steps=64), SUP, (0.5, 0.4, 0.3), 4, RandomStream(64),
+                        estimator="transfer")
+    assert [(s.center_id, s.eps) for s in panel] == [(i, e) for i in range(4)
+                                                     for e in (0.5, 0.4, 0.3)]
+    assert [s.ell_hat.log_prob for s in panel] == RSBF_TRANSFER_PINS
+
+
 def test_sample_rsbf_validation():
     with pytest.raises(ConfigurationError):
         sample_rsbf(Scalar(), SUP, (0.5,), 1, RandomStream(0))
