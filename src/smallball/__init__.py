@@ -45,26 +45,20 @@ from .estimators import (
     richardson_extrapolate,
     sbf_analytic,
     sbf_curve,
-    shifted_ball_prob_cm,
 )
 from .models import (
     BrownianBridge,
     CmShift,
     FiniteSpectrum,
     GaussianModel,
-    Path,
     Scalar,
     WienerPath,
     cm_log_weight,
-    cm_weight,
     parse_model,
     rkhs_norm,
 )
 from .norms import (
     NormSpec,
-    check_self_similarity,
-    check_superadditivity,
-    eval_norm,
     eval_norm_batch,
     parse_norm,
 )
@@ -80,7 +74,6 @@ from .quantization import (
     sample_nearest,
     target_size,
     verify_distortion_gauge_match,
-    verify_distortion_upper_bound,
 )
 from .rsbf import (
     CheckRow,
@@ -117,23 +110,22 @@ __all__ = [
     "ConstantEstimate", "CoverageRate", "DataError", "DiagnosticError",
     "DomainError", "FiniteSpectrum", "FlowShift", "FreeStartEstimate",
     "GaugeCurve", "GaussianModel", "InverseGauge", "LadderError", "NormSpec",
-    "Path", "PowerWarning", "ProbEstimate", "QuantizationResult", "RSBFSample",
+    "PowerWarning", "ProbEstimate", "QuantizationResult", "RSBFSample",
     "RandomStream", "RangeError", "Report", "RichardsonFit", "SBFCurve",
     "Scalar", "ShapeError", "SmallballError", "SubadditiveSeries",
     "VerifierConfig", "WienerPath", "abs_moment_norm", "ball_prob_mc",
     "ball_prob_splitting", "band_log_prob", "band_log_prob_extrapolated",
     "band_log_probs", "band_log_profile", "build_codebook", "certify_membership",
-    "check_doubling", "check_self_similarity", "check_superadditivity",
-    "cm_log_weight", "cm_weight", "constant_from_soft_rate",
+    "check_doubling", "cm_log_weight", "constant_from_soft_rate",
     "coverage_event_rate", "dirichlet_eigenvalue", "dispersion_trend",
-    "distortion", "estimate_constant", "eval_norm", "eval_norm_batch",
+    "distortion", "estimate_constant", "eval_norm_batch",
     "exit_time_eigenvalue", "gauge_stats", "invert_gauge", "keyed_map",
     "lambda_hard", "lambda_soft", "lipschitz_probe", "make_ladder",
     "mean_median_trend", "moment_upper_bound", "parse_model", "parse_norm",
     "pilot_curve", "richardson_extrapolate", "rkhs_norm", "sample_nearest",
     "sample_rsbf", "sbf_analytic", "sbf_curve",
-    "shift_inequality_check", "shifted_ball_prob_cm", "soft_functional",
+    "shift_inequality_check", "soft_functional",
     "target_size", "tilde_rsbf", "unit_tube_cost", "verify_distortion_gauge_match",
-    "verify_distortion_upper_bound", "verify_enclosure", "verify_enlarged_ball",
+    "verify_enclosure", "verify_enlarged_ball",
     "verify_gauge_sandwich", "worker_count",
 ]

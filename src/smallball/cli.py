@@ -24,7 +24,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +32,12 @@ from scipy.optimize import brentq
 
 from .constants import (
     SubadditiveSeries,
-    constant_from_soft_rate,
     dirichlet_eigenvalue,
     estimate_constant,
-    lambda_hard,
-    lambda_soft,
+    subadditive_constant,
 )
 from .errors import ConfigurationError, RangeError, SmallballError
-from .estimators import ProbEstimate, SBFCurve, ball_prob_mc, sbf_analytic, sbf_curve
+from .estimators import centered_curve, centered_depth, depth_floor, pick_routes, route_table
 from .models import BrownianBridge, GaussianModel, Scalar, WienerPath, parse_model
 from .norms import NormSpec, parse_norm
 from .quantization import (
@@ -66,7 +64,6 @@ from .rsbf import (
     verify_gauge_sandwich,
 )
 from .streams import RandomStream
-from .transfer import CELLS_PER_STEP_SD, band_log_prob, band_log_probs, transfer_applies
 
 ARTIFACT_VERSION = "1"
 
@@ -138,13 +135,8 @@ class ExperimentConfig:
             raise ConfigurationError("quantize needs a nonempty --r-grid")
 
     def public_dict(self) -> dict:
-        return {
-            "experiment": self.experiment, "seed": self.seed, "model": self.model,
-            "norm": self.norm, "eps": list(self.eps), "r_grid": list(self.r_grid),
-            "s": self.s, "samples": self.samples, "centers": self.centers,
-            "grid_n": self.grid_n, "estimator": self.estimator, "mode": self.mode,
-            "kappa": self.kappa, "a_grid": list(self.a_grid), "format": self.format,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items() if k != "out"}
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -331,84 +323,6 @@ def _resolve_model(cfg: ExperimentConfig) -> GaussianModel:
     return model
 
 
-def _pick_estimator(cfg: ExperimentConfig, model: GaussianModel, spec: NormSpec) -> str:
-    if cfg.estimator != "auto":
-        return cfg.estimator
-    if isinstance(model, Scalar):
-        return "mc" if cfg.experiment == "rsbf" else "analytic"
-    if transfer_applies(model, spec):
-        return "transfer"
-    if cfg.experiment == "sbf" and sbf_analytic(model, spec, 1.0) is not None:
-        return "analytic"
-    return "splitting"
-
-
-def _centered_curve(model: GaussianModel, spec: NormSpec, eps_grid: tuple[float, ...],
-                    stream: RandomStream, estimator: str,
-                    n_samples: int) -> SBFCurve:
-    """Centered curve on a decreasing grid by the requested route.
-
-    "analytic" means the closed form for the model as stated (the continuum
-    limit for path models); "transfer" prices the discrete path measure
-    itself, which is the right comparator for panels drawn from it.
-    """
-    if estimator == "analytic":
-        ests = []
-        for e in eps_grid:
-            est = sbf_analytic(model, spec, e)
-            if est is None:
-                raise ConfigurationError(
-                    f"no closed form for {model.name} under {spec.describe()} at eps={e:g}")
-            ests.append(est)
-        return SBFCurve(eps_grid, tuple(ests), model.name, spec.describe())
-    if estimator == "transfer":
-        if not transfer_applies(model, spec):
-            raise ConfigurationError(
-                "transfer pricing needs a 1-d Brownian path with the full-horizon sup norm")
-        band = np.outer(eps_grid, np.ones(model.grid().shape))
-        ests = tuple(ProbEstimate(min(float(lp), 0.0), 0.0, 0, "analytic")
-                     for lp in band_log_probs(-band, band, model.dt))
-        return SBFCurve(eps_grid, ests, model.name, spec.describe())
-    if estimator == "mc":
-        ests = []
-        for j, e in enumerate(eps_grid):
-            ests.append(ball_prob_mc(model, spec, e, n_samples, stream.spawn(j)))
-        return SBFCurve(eps_grid, tuple(ests), model.name, spec.describe())
-    if estimator == "splitting":
-        curve, _ = sbf_curve(model, spec, eps_grid, stream)
-        return curve
-    raise ConfigurationError(f"unknown estimator {estimator!r}")
-
-
-def _centered_fn(model: GaussianModel, spec: NormSpec):
-    """eps -> centered depth callable for moment bounds, or None.
-
-    Matched to the panel's measure: path panels priced on the discrete grid
-    get the discrete depth, which keeps the deterministic bounds honest.
-    """
-    if isinstance(model, Scalar):
-        return lambda e: sbf_analytic(model, spec, e).phi
-    if transfer_applies(model, spec):
-        grid_shape = model.grid().shape
-
-        def fn(e: float) -> float:
-            return -band_log_prob(np.full(grid_shape, -e), np.full(grid_shape, e),
-                                  model.dt, start=0.0)
-
-        return fn
-    return None
-
-
-def _finite_depth_floor(model: GaussianModel, spec: NormSpec) -> float:
-    """A radius just above the smallest one at which the _centered_fn depth
-    is finite. A swept band narrower than a quarter grid cell (dx =
-    sqrt(dt)/8) holds one cell, which misses the start 0, so its depth is
-    +inf; the closed forms are finite down to any radius."""
-    if transfer_applies(model, spec):
-        return 0.25 * (1.0 + 2.0**-20) * math.sqrt(model.dt) / CELLS_PER_STEP_SD
-    return 1e-8
-
-
 def _eps_for_depth(depth_fn, target: float, lo: float = 1e-8, hi: float = 50.0) -> float:
     """Invert a decreasing depth(eps) on [lo, hi] by Brent's method in
     v = eps**-2 to 1e-14 relative. A small-ball depth grows like c / eps**2,
@@ -430,14 +344,17 @@ def _eps_for_depth(depth_fn, target: float, lo: float = 1e-8, hi: float = 50.0) 
 def cmd_sbf(cfg: ExperimentConfig, stream: RandomStream):
     model = _resolve_model(cfg)
     spec = parse_norm(cfg.norm)
-    est = _pick_estimator(cfg, model, spec)
-    curve = _centered_curve(model, spec, cfg.eps, stream.spawn(0), est, cfg.samples)
-    rows = [{"model": model.name, "norm": spec.describe(), "eps": e,
+    route, _ = pick_routes(model, spec, "sbf", cfg.estimator)
+    curve = centered_curve(model, spec, cfg.eps, route, stream.spawn(0), cfg.samples)
+    return {"sbf": _curve_table(curve)}, []
+
+
+def _curve_table(curve):
+    rows = [{"model": curve.model_name, "norm": curve.norm_name, "eps": e,
              "phi": p.phi, "stderr": p.stderr_log, "n_samples": p.n_samples,
              "method": p.method, "bound": p.bound}
             for e, p in zip(curve.eps_grid, curve.estimates)]
-    columns = ["model", "norm", "eps", "phi", "stderr", "n_samples", "method", "bound"]
-    return {"sbf": (columns, rows)}, []
+    return ["model", "norm", "eps", "phi", "stderr", "n_samples", "method", "bound"], rows
 
 
 def _gauge_tables(model: GaussianModel, spec: NormSpec, panel, gauge: GaugeCurve):
@@ -473,12 +390,10 @@ def _gauge_tables(model: GaussianModel, spec: NormSpec, panel, gauge: GaugeCurve
 def cmd_rsbf(cfg: ExperimentConfig, stream: RandomStream):
     model = _resolve_model(cfg)
     spec = parse_norm(cfg.norm)
-    est = _pick_estimator(cfg, model, spec)
-    if est == "analytic":
-        est = "mc"  # the random version has no closed form; count hits instead
+    _, route = pick_routes(model, spec, "rsbf", cfg.estimator)
     panel = sample_rsbf(model, spec, cfg.eps, cfg.centers, stream.spawn(0),
-                        estimator=est, n_samples=cfg.samples)
-    gauge = gauge_stats(panel, centered=_centered_fn(model, spec), stream=stream.spawn(1))
+                        estimator=route, n_samples=cfg.samples)
+    gauge = gauge_stats(panel, centered=centered_depth(model, spec), stream=stream.spawn(1))
     samples_t, gauge_t = _gauge_tables(model, spec, panel, gauge)
     return {"rsbf_samples": samples_t, "rsbf_gauge": gauge_t}, []
 
@@ -486,21 +401,21 @@ def cmd_rsbf(cfg: ExperimentConfig, stream: RandomStream):
 def _quantize_gauge_inverse(cfg: ExperimentConfig, model: GaussianModel, spec: NormSpec,
                             stream: RandomStream):
     """Panel gauge spanning the requested rates, inverted; None when the
-    model has no cheap matched-measure route."""
-    centered = _centered_fn(model, spec)
-    if centered is None:
+    pair has no exact route for the centered depth."""
+    _, route = pick_routes(model, spec, "quantize")
+    if route is None:
         return None, None
+    centered = centered_depth(model, spec)
     positive = [r for r in cfg.r_grid if r > 0]
     # the panel mean runs a model-dependent factor (1x to 5x) above the
     # centered depth, so bracket generously on both ends
     lo_depth = max(0.1, min(positive) / 8.0) if positive else 0.1
     hi_depth = 1.1 * max(cfg.r_grid) + 1.0
-    lo = _finite_depth_floor(model, spec)
+    lo = depth_floor(model, spec)
     e_top = _eps_for_depth(centered, lo_depth, lo)
     e_bot = _eps_for_depth(centered, hi_depth, lo)
     eps_grid = tuple(np.geomspace(e_top, e_bot, 12))
-    est = "transfer" if transfer_applies(model, spec) else "splitting"
-    panel = sample_rsbf(model, spec, eps_grid, cfg.centers, stream, estimator=est)
+    panel = sample_rsbf(model, spec, eps_grid, cfg.centers, stream, estimator=route)
     gauge = gauge_stats(panel, centered=centered, stream=stream.spawn(9_999))
     return invert_gauge(gauge, which="mean"), gauge
 
@@ -574,23 +489,13 @@ def cmd_constants(cfg: ExperimentConfig, stream: RandomStream):
         k0 = dirichlet_eigenvalue(d)
         bracket = (2.0 * k0, 8.0 * k0)
     if cfg.mode in ("subadditive", "both"):
-        if spec.kind == "sup":
-            series = lambda_hard(model, cfg.a_grid, cfg.centers, stream.spawn(0))
-            value, se = series.rate_constant(), series.slope_se
-            extra = {"slope": series.slope,
-                     "tail_over_a": series.values[-1] / series.a_grid[-1]}
-        elif spec.kind == "lp":
-            series = lambda_soft(model, spec, cfg.a_grid, cfg.centers,
-                                 stream.spawn(0), n_inner=cfg.samples)
-            K, q = series.rate_constant(), spec.soft_q
-            value = constant_from_soft_rate(K, q)
-            se = value * (q / (q - 1.0)) * (series.slope_se / K) if K > 0 else math.inf
-            extra = {"soft_rate": K, "soft_q": q, "slope": series.slope,
-                     "tail_over_a": series.values[-1] / series.a_grid[-1]}
-        else:
-            raise ConfigurationError("constants supports sup and integral norms")
+        value, se, series = subadditive_constant(model, spec, cfg.a_grid, cfg.centers,
+                                                 stream.spawn(0), n_inner=cfg.samples)
         row = {"model": model.name, "norm": spec.describe(), "mode": "subadditive",
-               "gamma": spec.gamma, "value": value, "stderr": se, **extra}
+               "gamma": spec.gamma, "value": value, "stderr": se, "slope": series.slope,
+               "tail_over_a": series.values[-1] / series.a_grid[-1]}
+        if series.kind == "soft":
+            row["soft_rate"], row["soft_q"] = series.rate_constant(), spec.soft_q
         if bracket:
             row["bracket_lo"], row["bracket_hi"] = bracket
         rows.append(row)
@@ -619,20 +524,19 @@ def cmd_verify_all(cfg: ExperimentConfig, stream: RandomStream):
     model = _resolve_model(cfg)
     spec = parse_norm(cfg.norm)
     vcfg = VerifierConfig()
-    est = _pick_estimator(cfg, model, spec)
-    panel_est = "mc" if est == "analytic" else est
+    route, panel_route = pick_routes(model, spec, "verify-all", cfg.estimator)
 
     # the verifiers look the centered curve up at eps, eps/sqrt2, eps/2, 2eps
     full = set()
     for e in cfg.eps:
         full.update((e, e / math.sqrt(2.0), e / 2.0, 2.0 * e))
     grid = tuple(sorted(full, reverse=True))
-    curve = _centered_curve(model, spec, grid, stream.spawn(0), est, cfg.samples)
+    curve = centered_curve(model, spec, grid, route, stream.spawn(0), cfg.samples)
 
     panel = sample_rsbf(model, spec, cfg.eps, cfg.centers, stream.spawn(1),
-                        estimator=panel_est,
-                        n_samples=max(cfg.samples, 50_000) if panel_est == "mc" else cfg.samples)
-    gauge = gauge_stats(panel, centered=_centered_fn(model, spec), stream=stream.spawn(2))
+                        estimator=panel_route,
+                        n_samples=max(cfg.samples, 50_000) if panel_route == "mc" else cfg.samples)
+    gauge = gauge_stats(panel, centered=centered_depth(model, spec), stream=stream.spawn(2))
 
     reports = [
         verify_enclosure(curve, panel, vcfg),
@@ -645,7 +549,7 @@ def cmd_verify_all(cfg: ExperimentConfig, stream: RandomStream):
         # the scalar curve has unit doubling ratio; the lower bound on the
         # ratio is a path-model claim and would fail there by design
         reports.append(check_doubling(curve, "upper", vcfg))
-    if isinstance(model, Scalar) or transfer_applies(model, spec):
+    if route_table(model, spec).exact:
         e_mid = cfg.eps[len(cfg.eps) // 2]
         reports.append(lipschitz_probe(model, spec, e_mid, 32, (0.25, 0.5, 1.0),
                                        stream.spawn(5), vcfg, enforce_gate=False))
@@ -668,14 +572,7 @@ def cmd_verify_all(cfg: ExperimentConfig, stream: RandomStream):
     for rep in reports:
         verdicts += report_rows(rep)
     samples_t, gauge_t = _gauge_tables(model, spec, panel, gauge)
-    curve_rows = [{"model": model.name, "norm": spec.describe(), "eps": e,
-                   "phi": p.phi, "stderr": p.stderr_log, "n_samples": p.n_samples,
-                   "method": p.method, "bound": p.bound}
-                  for e, p in zip(curve.eps_grid, curve.estimates)]
-    tables = {"sbf": (["model", "norm", "eps", "phi", "stderr", "n_samples",
-                       "method", "bound"], curve_rows),
-              "rsbf_samples": samples_t, "rsbf_gauge": gauge_t}
-    return tables, verdicts
+    return {"sbf": _curve_table(curve), "rsbf_samples": samples_t, "rsbf_gauge": gauge_t}, verdicts
 
 
 # -- plotdata ----------------------------------------------------------------

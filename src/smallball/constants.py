@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import comb, jn_zeros
 
 from .errors import ConfigurationError, DiagnosticError, DomainError, PowerWarning
-from .estimators import ProbEstimate, ball_prob_mc
+from .estimators import ProbEstimate, ball_prob_mc, require_route
 from .models import GaussianModel, WienerPath
 from .norms import NormSpec, eval_norm_batch
 from .streams import RandomStream, keyed_map
@@ -35,7 +35,6 @@ from .transfer import (
     band_log_prob_extrapolated,
     band_log_probs,
     band_log_profile,
-    transfer_applies,
 )
 
 # discrete monitoring pads the exit boundary by ~0.5826 sqrt(dt) per side
@@ -130,6 +129,34 @@ def _upper_half(a_grid: np.ndarray) -> np.ndarray:
     return np.arange(len(a_grid)) >= (len(a_grid) - 1) // 2
 
 
+def _horizon_panel(model: GaussianModel, a_grid, n_centers: int, stream: RandomStream,
+                   kind: str) -> tuple[tuple[float, ...], np.ndarray]:
+    """The increasing horizon grid, and n_centers paths on [0, max(a_grid)]
+    at the template's step, drawn from stream.spawn(0)."""
+    a_grid = tuple(float(a) for a in a_grid)
+    if not a_grid or list(a_grid) != sorted(a_grid):
+        raise ConfigurationError("a_grid must be increasing and nonempty")
+    if not isinstance(model, WienerPath) or model.d != 1:
+        raise ConfigurationError(f"the {kind} series needs a 1-d Brownian path template")
+    long_model = WienerPath(n_steps=round(a_grid[-1] / model.dt), horizon=a_grid[-1])
+    return a_grid, long_model.sample_values(stream.spawn(0).generator(), n_centers)
+
+
+def _fitted_series(kind: str, a_grid: tuple[float, ...], means: list[float], ses: list[float],
+                   n_centers: int, per_center: dict) -> SubadditiveSeries:
+    """The series with its weighted straight-line rate over the upper half
+    of the horizon grid."""
+    x = np.array(a_grid)
+    mask = _upper_half(x)
+    slope, intercept, slope_se, resid = _wls_line(
+        x[mask], np.array(means)[mask], np.array(ses)[mask]
+    )
+    return SubadditiveSeries(
+        kind, a_grid, tuple(means), tuple(ses), slope, slope_se, intercept, resid,
+        n_centers, per_center,
+    )
+
+
 # -- free-start small balls -----------------------------------------------------
 
 
@@ -198,11 +225,7 @@ def tilde_rsbf(
         est = ball_prob_mc(model, norm_spec, eps, n_inner, stream, center=w)
         return FreeStartEstimate(est, 0.0)
     if estimator == "transfer":
-        if not transfer_applies(model, norm_spec):
-            raise ConfigurationError(
-                "transfer free-start estimates need a 1-d Brownian path and the "
-                "full-horizon sup norm"
-            )
+        require_route(model, norm_spec, "transfer", "shifted")
         x, logv = band_log_profile(w - eps, w + eps, model.dt)
         k = int(np.argmax(logv))
         lp = float(logv[k])
@@ -254,17 +277,10 @@ def lambda_hard(
     The per-horizon costs are deterministic band sweeps, one horizon per
     pool task; all the quoted error is center-sampling error.
     """
-    a_grid = tuple(float(a) for a in a_grid)
-    if not a_grid or list(a_grid) != sorted(a_grid):
-        raise ConfigurationError("a_grid must be increasing and nonempty")
-    if a_grid[0] < 1.0 or a_grid[-1] > 16.0:
+    if any(not 1.0 <= float(a) <= 16.0 for a in a_grid):
         raise ConfigurationError("horizons outside [1, 16] are not calibrated here")
-    if not isinstance(model, WienerPath) or model.d != 1:
-        raise ConfigurationError("the hard series needs a 1-d Brownian path template")
+    a_grid, paths = _horizon_panel(model, a_grid, n_centers, stream, "hard")
     dt = model.dt
-    n_max = round(a_grid[-1] / dt)
-    long_model = WienerPath(n_steps=n_max, horizon=a_grid[-1])
-    paths = long_model.sample_values(stream.spawn(0).generator(), n_centers)
 
     def horizon_costs(a: float) -> np.ndarray:
         w = paths[:, : round(a / dt) + 1]
@@ -276,15 +292,7 @@ def lambda_hard(
         per_center[a] = tuple(costs)
         means.append(float(costs.mean()))
         ses.append(float(costs.std(ddof=1) / math.sqrt(n_centers)))
-    x = np.array(a_grid)
-    y = np.array(means)
-    se = np.array(ses)
-    mask = _upper_half(x)
-    slope, intercept, slope_se, resid = _wls_line(x[mask], y[mask], se[mask])
-    return SubadditiveSeries(
-        "hard", a_grid, tuple(means), tuple(ses), slope, slope_se, intercept, resid,
-        n_centers, per_center,
-    )
+    return _fitted_series("hard", a_grid, means, ses, n_centers, per_center)
 
 
 # -- the soft functional ---------------------------------------------------------
@@ -371,9 +379,6 @@ def lambda_soft(
     Monte Carlo (the integrand lives in (0, 1]); per-horizon values are the
     center means of the per-path functional.
     """
-    a_grid = tuple(float(a) for a in a_grid)
-    if not a_grid or list(a_grid) != sorted(a_grid):
-        raise ConfigurationError("a_grid must be increasing and nonempty")
     if norm_spec.kind != "lp":
         raise ConfigurationError("the soft series is defined for integral-type norms")
     if norm_spec.p <= 2:
@@ -381,13 +386,9 @@ def lambda_soft(
             "norm index p must exceed 2 for the soft-rate route (dual exponent "
             "stays above 1 and the scaling hypothesis holds)"
         )
-    if not isinstance(model, WienerPath) or model.d != 1:
-        raise ConfigurationError("the soft series needs a 1-d Brownian path template")
+    a_grid, centers = _horizon_panel(model, a_grid, n_centers, stream, "soft")
     dt = model.dt
     p = norm_spec.p
-    n_max = round(a_grid[-1] / dt)
-    long_model = WienerPath(n_steps=n_max, horizon=a_grid[-1])
-    centers = long_model.sample_values(stream.spawn(0).generator(), n_centers)
     means, ses = [], []
     per_center: dict[float, tuple[float, ...]] = {}
     for ai, a in enumerate(a_grid):
@@ -404,15 +405,7 @@ def lambda_soft(
         means.append(float(vals.mean()))
         ses.append(float(math.hypot(vals.std(ddof=1), float(np.mean(errs)))
                          / math.sqrt(n_centers)))
-    x = np.array(a_grid)
-    mask = _upper_half(x)
-    slope, intercept, slope_se, resid = _wls_line(
-        x[mask], np.array(means)[mask], np.array(ses)[mask]
-    )
-    return SubadditiveSeries(
-        "soft", a_grid, tuple(means), tuple(ses), slope, slope_se, intercept, resid,
-        n_centers, per_center,
-    )
+    return _fitted_series("soft", a_grid, means, ses, n_centers, per_center)
 
 
 def constant_from_soft_rate(K: float, q: float) -> float:
@@ -511,6 +504,29 @@ def exit_time_eigenvalue(
 # -- headline constant estimates --------------------------------------------------
 
 
+def subadditive_constant(
+    model: GaussianModel,
+    norm_spec: NormSpec,
+    a_grid,
+    n_centers: int,
+    stream: RandomStream,
+    n_inner: int = 8192,
+) -> tuple[float, float, SubadditiveSeries]:
+    """(constant, stderr, series) from the horizon series: the hard series'
+    rate for the sup norm, the soft rate K converted through the dual
+    exponent q for integral norms."""
+    if norm_spec.kind == "sup":
+        series = lambda_hard(model, a_grid, n_centers, stream)
+        return series.rate_constant(), series.slope_se, series
+    if norm_spec.kind != "lp":
+        raise ConfigurationError("subadditive mode supports sup and integral norms")
+    series = lambda_soft(model, norm_spec, a_grid, n_centers, stream, n_inner=n_inner)
+    K, q = series.rate_constant(), norm_spec.soft_q
+    value = constant_from_soft_rate(K, q)
+    # first-order error propagation through the power law
+    return value, value * (q / (q - 1.0)) * (series.slope_se / K) if K > 0 else math.inf, series
+
+
 @dataclass(frozen=True)
 class ConstantEstimate:
     value: float
@@ -549,33 +565,20 @@ def estimate_constant(
             f"requested gamma {params['gamma']:g} contradicts the norm's scaling {gamma:g}"
         )
     if mode == "subadditive":
-        n_centers = int(params.get("n_centers", 48))
-        if norm_spec.kind == "sup":
-            a_grid = params.get("a_grid", (2.0, 4.0, 6.0, 8.0, 12.0, 16.0))
-            series = lambda_hard(model, a_grid, n_centers, stream)
-            return ConstantEstimate(
-                series.rate_constant(), series.slope_se, mode, gamma,
-                {"a_grid": series.a_grid, "ratios": tuple(series.ratios()),
-                 "tail_ratio": series.ratios()[-1]},
-            )
-        if norm_spec.kind == "lp":
-            a_grid = params.get("a_grid", (1.0, 2.0, 4.0, 6.0, 8.0))
-            series = lambda_soft(model, norm_spec, a_grid, n_centers, stream,
-                                 n_inner=int(params.get("n_inner", 8192)))
-            K = series.rate_constant()
-            q = norm_spec.soft_q
-            value = constant_from_soft_rate(K, q)
-            # first-order error propagation through the power law
-            dv = value * (q / (q - 1.0)) * (series.slope_se / K) if K > 0 else math.inf
-            return ConstantEstimate(
-                value, dv, mode, gamma,
-                {"K": K, "q": q, "a_grid": series.a_grid, "ratios": tuple(series.ratios())},
-            )
-        raise ConfigurationError("subadditive mode supports sup and integral norms")
+        default_grid = (2.0, 4.0, 6.0, 8.0, 12.0, 16.0) if norm_spec.kind == "sup" \
+            else (1.0, 2.0, 4.0, 6.0, 8.0)
+        value, se, series = subadditive_constant(
+            model, norm_spec, params.get("a_grid", default_grid),
+            int(params.get("n_centers", 48)), stream, int(params.get("n_inner", 8192)))
+        details = {"a_grid": series.a_grid, "ratios": tuple(series.ratios())}
+        if series.kind == "hard":
+            details["tail_ratio"] = series.ratios()[-1]
+        else:
+            details |= {"K": series.rate_constant(), "q": norm_spec.soft_q}
+        return ConstantEstimate(value, se, mode, gamma, details)
     if mode != "eps_fit":
         raise ConfigurationError(f"unknown mode {mode!r}")
-    if not transfer_applies(model, norm_spec):
-        raise ConfigurationError("eps_fit pricing is wired for the 1-d full-horizon sup norm")
+    require_route(model, norm_spec, "transfer", "shifted")
     eps_grid = params.get("eps_grid")
     if eps_grid is None:
         # place the grid where the centered depth runs ~[5, 20]

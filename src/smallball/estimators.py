@@ -1,12 +1,14 @@
-"""Small-ball probability estimators.
+"""Small-ball probability estimators and the table of routes that price a ball.
 
-Three routes to log mu(B(x0, eps)), each tagged on the estimate it returns:
+Four routes to log mu(B(x0, eps)), each tagged on the estimate it returns:
 
 * ``analytic``  - closed forms: Gaussian CDF for the scalar model, the
   alternating exponential series (small radius) / reflection series (large
   radius) for the centered Brownian sup-ball, and their bridge analogue.
   Deterministic numerical evaluations (truncation below 1e-15 relative)
   carry stderr 0.
+* ``transfer``  - the deterministic band sweep of ``transfer.py``; its
+  estimates carry the ``analytic`` tag with stderr 0.
 * ``mc``        - plain Monte Carlo with the delta-method standard error on
   the log scale. Zero hits yield a distinguished one-sided bound at
   log(3/n) (rule of three) rather than -inf.
@@ -15,25 +17,25 @@ Three routes to log mu(B(x0, eps)), each tagged on the estimate it returns:
   X' = rho X + sqrt(1-rho^2) X_fresh which leaves every centered Gaussian
   model invariant, acceptance = staying inside the current level.
 
-``cm_reweighted`` estimates a shifted ball through samples of the centered
-measure reweighted by the Cameron-Martin density, useful both as a variance
-reducer and as an independent cross-check of direct MC.
+``ROUTE_TABLE`` says which routes price the balls of a (model, norm) pair.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 from .errors import ConfigurationError, DomainError, LadderError, PowerWarning
-from .models import BrownianBridge, CmShift, GaussianModel, Scalar, WienerPath, cm_log_weight
+from .models import BrownianBridge, GaussianModel, Scalar, WienerPath
 from .norms import NormSpec, eval_norm_batch
 from .streams import RandomStream, keyed_map
+from .transfer import CELLS_PER_STEP_SD, band_log_prob, band_log_probs, transfer_applies
 
-METHODS = ("analytic", "mc", "splitting", "cm_reweighted")
+METHODS = ("analytic", "mc", "splitting")
+ROUTES = ("analytic", "transfer", "mc", "splitting")
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,165 @@ class SBFCurve:
         return bad
 
 
+# -- which route prices which ball ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Routes:
+    """The routes that price balls of one (model, norm) pair.
+
+    centered / shifted: the routes that price a ball around 0 / around a
+    draw of the model. exact: the deterministic route whose value is the
+    mass under the discrete measure the panels are drawn from, the one the
+    gauge bounds and verifiers read. auto: the route "auto" picks for each
+    of COMMANDS; None where quantize has no exact depth to invert.
+    """
+
+    centered: tuple[str, ...]
+    shifted: tuple[str, ...]
+    exact: tuple[str, ...]
+    auto: tuple[str | None, ...]
+
+
+COMMANDS = ("sbf", "rsbf", "verify-all", "quantize")
+_SAMPLED = ("mc", "splitting")
+ROUTE_TABLE = {
+    # the closed form is the scalar law itself; the panel counts hits
+    # although an exact random-center law exists
+    "scalar": Routes(("analytic",) + _SAMPLED, _SAMPLED, ("analytic",),
+                     ("analytic", "mc", "analytic", "splitting")),
+    # a 1-d Brownian path under the sup norm over its whole horizon; the
+    # closed form is the continuum value, the band sweep the grid's own
+    "wiener-sup": Routes(ROUTES, ("transfer",) + _SAMPLED, ("transfer",),
+                         ("transfer", "transfer", "transfer", "transfer")),
+    # the continuum closed form is not the panel's discrete measure, so
+    # verify-all prices its centered curve by splitting
+    "bridge-sup": Routes(("analytic",) + _SAMPLED, _SAMPLED, (),
+                         ("analytic", "splitting", "splitting", None)),
+    "other": Routes(_SAMPLED, _SAMPLED, (), ("splitting", "splitting", "splitting", None)),
+}
+
+
+def pair_family(model: GaussianModel, norm_spec: NormSpec) -> str:
+    """The ROUTE_TABLE row of a (model, norm) pair."""
+    if isinstance(model, Scalar):
+        return "scalar"
+    if transfer_applies(model, norm_spec):
+        return "wiener-sup"
+    if (isinstance(model, BrownianBridge) and norm_spec.kind == "sup"
+            and norm_spec.interval == (0.0, 1.0)):
+        return "bridge-sup"
+    return "other"
+
+
+def route_table(model: GaussianModel, norm_spec: NormSpec) -> Routes:
+    return ROUTE_TABLE[pair_family(model, norm_spec)]
+
+
+def require_route(model: GaussianModel, norm_spec: NormSpec, route: str,
+                  ball: str = "centered") -> None:
+    """Raise ConfigurationError unless the table lists ``route`` in the
+    ``ball`` column ("centered", "shifted" or "exact") of this pair."""
+    allowed = getattr(route_table(model, norm_spec), ball)
+    if route not in allowed:
+        raise ConfigurationError(
+            f"no {route} route for {ball} balls of {model.name} under "
+            f"{norm_spec.describe()}; supported: {', '.join(allowed) or 'none'}")
+
+
+def pick_routes(model: GaussianModel, norm_spec: NormSpec, command: str,
+                requested: str = "auto") -> tuple[str | None, str | None]:
+    """The (centered curve, center panel) routes of one command, None for a
+    ball it does not price.
+
+    "auto" reads the table. A requested route prices every ball the command
+    prices, except that a panel asked for ``analytic`` counts hits (mc): no
+    random-center closed form is wired in.
+    """
+    route = requested if requested != "auto" else \
+        route_table(model, norm_spec).auto[COMMANDS.index(command)]
+    curve = route if command in ("sbf", "verify-all") else None
+    panel = ("mc" if route == "analytic" else route) if command != "sbf" and route else None
+    if curve:
+        require_route(model, norm_spec, curve, "centered")
+    if panel:
+        require_route(model, norm_spec, panel, "shifted")
+    return curve, panel
+
+
+def _scalar_ell_exact(x: np.ndarray, eps: float) -> np.ndarray:
+    # -log(Phi(x+eps) - Phi(x-eps)); the mass is even in x, and reflecting to
+    # x <= 0 keeps both logcdf calls in the accurate left tail at any depth
+    y = -np.abs(np.asarray(x, dtype=float))
+    a = log_ndtr(y + eps)
+    b = log_ndtr(y - eps)
+    return -(a + np.log1p(-np.exp(b - a)))
+
+
+def log_mass(model: GaussianModel, norm_spec: NormSpec, centers, eps):
+    """log mu(B(c, eps)) under the discrete measure, by the pair's exact route.
+
+    ``centers`` is one center (``model.value_shape``) or a batch of them,
+    and ``eps`` one radius or one per center. The scalar law is in closed
+    form; a 1-d Brownian sup ball is a band sweep started at 0, one row per
+    center in one sweep. One center gives a float.
+    """
+    exact = route_table(model, norm_spec).exact
+    require_route(model, norm_spec, exact[0] if exact else "deterministic", "exact")
+    c = np.asarray(centers, dtype=float)
+    e = np.asarray(eps, dtype=float)
+    if exact == ("analytic",):
+        lm = -_scalar_ell_exact(c, e)
+        return float(lm) if lm.ndim == 0 else lm
+    e = e[:, None] if e.ndim else e
+    if c.ndim == 1:
+        return band_log_prob(c - e, c + e, model.dt)
+    return band_log_probs(c - e, c + e, model.dt)
+
+
+def centered_depth(model: GaussianModel, norm_spec: NormSpec):
+    """eps -> -log mu(B(0, eps)) under the panel's discrete measure, or None
+    when the pair has no exact route. The scalar depth is sbf_analytic's
+    form, which can differ from the shifted law at 0 in the last bit."""
+    exact = route_table(model, norm_spec).exact
+    if exact == ("analytic",):
+        return lambda e: sbf_analytic(model, norm_spec, e).phi
+    if exact:
+        origin = np.zeros(model.value_shape)
+        return lambda e: -log_mass(model, norm_spec, origin, e)
+    return None
+
+
+def depth_floor(model: GaussianModel, norm_spec: NormSpec) -> float:
+    """A radius just above the smallest at which centered_depth is finite: a
+    swept band under a quarter grid cell (dx = sqrt(dt)/8) holds one cell,
+    which misses the start 0. Closed forms are finite at any radius."""
+    if route_table(model, norm_spec).exact == ("transfer",):
+        return 0.25 * (1.0 + 2.0**-20) * math.sqrt(model.dt) / CELLS_PER_STEP_SD
+    return 1e-8
+
+
+def centered_curve(model: GaussianModel, norm_spec: NormSpec, eps_grid: tuple[float, ...],
+                   route: str, stream: RandomStream, n_samples: int) -> SBFCurve:
+    """The centered curve on a decreasing grid by one route of the table:
+    ``analytic`` is the closed form of the model as stated (the continuum
+    limit for path models), ``transfer`` the discrete path measure itself in
+    one sweep, and ``mc`` draws radius j from ``stream.spawn(j)``."""
+    require_route(model, norm_spec, route, "centered")
+    if route == "splitting":
+        return sbf_curve(model, norm_spec, eps_grid, stream)[0]
+    if route == "analytic":
+        ests = [sbf_analytic(model, norm_spec, e) for e in eps_grid]
+    elif route == "transfer":
+        origins = np.zeros((len(eps_grid),) + model.value_shape)
+        ests = [ProbEstimate(min(float(lp), 0.0), 0.0, 0, "analytic")
+                for lp in log_mass(model, norm_spec, origins, eps_grid)]
+    else:
+        ests = [ball_prob_mc(model, norm_spec, e, n_samples, stream.spawn(j))
+                for j, e in enumerate(eps_grid)]
+    return SBFCurve(tuple(eps_grid), tuple(ests), model.name, norm_spec.describe())
+
+
 # -- analytic oracles ---------------------------------------------------------
 
 
@@ -166,37 +327,22 @@ def sbf_analytic(model: GaussianModel, norm_spec: NormSpec, eps: float) -> ProbE
     """
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
-    if isinstance(model, Scalar):
+    family = pair_family(model, norm_spec)
+    if family == "scalar":
         # log(2 Phi(eps/sigma) - 1), written to stay accurate for large eps
         z = eps / model.sigma
         lp = float(np.log1p(-2.0 * ndtr(-z)))
         return ProbEstimate(min(lp, 0.0), 0.0, 0, "analytic")
-    if (
-        isinstance(model, WienerPath)
-        and model.d == 1
-        and norm_spec.kind == "sup"
-        and (norm_spec.interval == (0.0, model.horizon))
-    ):
+    if family == "wiener-sup":
         return ProbEstimate(
             _log_sup_ball_centered(eps / math.sqrt(model.horizon)), 0.0, 0, "analytic"
         )
-    if (
-        isinstance(model, BrownianBridge)
-        and norm_spec.kind == "sup"
-        and norm_spec.interval == (0.0, 1.0)
-    ):
+    if family == "bridge-sup":
         return ProbEstimate(_log_bridge_sup_ball(eps), 0.0, 0, "analytic")
     return None
 
 
 # -- plain Monte Carlo --------------------------------------------------------
-
-
-def _center_array(model: GaussianModel, center) -> np.ndarray | float:
-    if center is None:
-        return 0.0
-    c = np.asarray(center, dtype=float)
-    return c
 
 
 def ball_prob_mc(
@@ -214,7 +360,7 @@ def ball_prob_mc(
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
     rng = stream.generator()
-    c = _center_array(model, center)
+    c = 0.0 if center is None else np.asarray(center, dtype=float)
     hits = 0
     done = 0
     while done < n_samples:
@@ -240,33 +386,6 @@ def ball_prob_mc(
     return ProbEstimate(math.log(p), se, n_samples, "mc")
 
 
-def shifted_ball_prob_cm(
-    model: GaussianModel,
-    norm_spec: NormSpec,
-    center,
-    eps: float,
-    n_samples: int,
-    stream: RandomStream,
-) -> ProbEstimate:
-    """mu(B(h, eps)) via centered samples and the Cameron-Martin reweighting.
-
-    mu(B(h, eps)) = E[ 1{||X|| <= eps} w(X) ] with log w = z_{-h}(X) - |h|^2/2.
-    """
-    if eps <= 0:
-        raise DomainError(f"eps must be positive, got {eps}")
-    rng = stream.generator()
-    h = np.asarray(center.values if isinstance(center, CmShift) else center, dtype=float)
-    x = model.sample_values(rng, n_samples)
-    d = eval_norm_batch(x, model.dt, norm_spec)
-    lw = cm_log_weight(model, -h, x)
-    w = np.where(d <= eps, np.exp(lw), 0.0)
-    m = float(w.mean())
-    if m == 0.0:
-        return ProbEstimate(math.log(3.0 / n_samples), math.inf, n_samples, "cm_reweighted", bound=True)
-    se = float(w.std(ddof=1) / math.sqrt(n_samples)) / m
-    return ProbEstimate(min(math.log(m), 0.0), se, n_samples, "cm_reweighted")
-
-
 # -- multilevel splitting -----------------------------------------------------
 
 
@@ -275,13 +394,6 @@ class SplittingDiagnostics:
     levels: tuple[float, ...]
     cond_fractions: tuple[float, ...]
     acceptance_rates: tuple[float, ...]
-
-
-@dataclass
-class _SplitState:
-    cum_log: np.ndarray  # (B,) cumulative log prob per center
-    var_log: np.ndarray  # (B,) accumulated delta-method variance
-    dead: np.ndarray  # (B,) centers whose ensemble died (bound from there on)
 
 
 def make_ladder(
@@ -322,16 +434,6 @@ def make_ladder(
         levels.append(a)
         cur = a
     return levels
-
-
-def _mc_start_fraction_warning(frac: float, eps0: float) -> None:
-    if frac < 0.2:
-        warnings.warn(
-            f"ladder entry fraction {frac:.3f} < 0.2 at eps={eps0:g}; "
-            "consider a larger starting radius",
-            PowerWarning,
-            stacklevel=3,
-        )
 
 
 def _splitting_pass(
@@ -411,7 +513,10 @@ def _splitting_pass(
 
     inside = d <= levels[0]
     p0 = inside.mean(axis=1)
-    _mc_start_fraction_warning(float(p0.min(initial=1.0)), levels[0])
+    frac = float(p0.min(initial=1.0))
+    if frac < 0.2:
+        warnings.warn(f"ladder entry fraction {frac:.3f} < 0.2 at eps={levels[0]:g}; "
+                      "consider a larger starting radius", PowerWarning, stacklevel=2)
     died = p0 == 0
     if died.any() and strict:
         raise LadderError(0, levels[0])
@@ -464,6 +569,49 @@ def _splitting_pass(
     return rec_log, rec_var, dead, diag
 
 
+def _replica_estimates(
+    model: GaussianModel,
+    norm_spec: NormSpec,
+    centers: np.ndarray | float,
+    levels: list[float],
+    eps_grid: tuple[float, ...],
+    n_per_level: int,
+    stream: RandomStream,
+    keys: range,
+    rho: float,
+    n_moves: int,
+    strict: bool,
+) -> tuple[list[list[ProbEstimate]], SplittingDiagnostics]:
+    """Run one ``_splitting_pass`` per key r on ``stream.spawn(r)``, on the
+    pool, and fold the replicas into (estimates[center][radius], last
+    replica's diagnostics): the replica mean with the larger of the
+    delta-method error and the replica spread, or, for a center that died
+    in any replica, a bound at its smallest replica value."""
+    n_centers = 1 if np.ndim(centers) == 0 else len(centers)
+    record = {e: j for j, e in enumerate(eps_grid)}
+    passes = keyed_map(lambda r: _splitting_pass(
+        model, norm_spec, centers, levels, n_per_level, stream.spawn(r).generator(), rho,
+        n_moves, (n_centers, n_per_level), record, strict,
+    ), keys)
+    logs = np.array([rec_log for rec_log, _, _, _ in passes])
+    vars_ = np.array([rec_var for _, rec_var, _, _ in passes])
+    any_dead = np.any([dead for _, _, dead, _ in passes], axis=0)
+    n_rep = len(keys)
+    n_tot = n_rep * n_per_level * len(levels)
+
+    def estimate(i: int, j: int) -> ProbEstimate:
+        vals = logs[:, i, j]
+        if any_dead[i]:
+            return ProbEstimate(min(float(vals.min()), 0.0), math.inf, n_tot, "splitting",
+                                bound=True)
+        se_f = math.sqrt(float(vars_[:, i, j].mean()) / n_rep)
+        se_e = float(vals.std(ddof=1) / math.sqrt(n_rep)) if n_rep >= 2 else 0.0
+        return ProbEstimate(min(float(vals.mean()), 0.0), max(se_f, se_e), n_tot, "splitting")
+
+    ests = [[estimate(i, j) for j in range(len(eps_grid))] for i in range(n_centers)]
+    return ests, passes[-1][3]
+
+
 def ball_prob_splitting(
     model: GaussianModel,
     norm_spec: NormSpec,
@@ -480,8 +628,7 @@ def ball_prob_splitting(
 
     ``levels`` is the decreasing ladder; eps must be its final entry (a
     one-level ladder degenerates to plain MC). Replicas run on sibling
-    streams, in parallel through ``keyed_map``; the reported stderr is the larger of the accumulated
-    delta-method error and the between-replica spread.
+    streams, in parallel through ``keyed_map``.
     """
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
@@ -493,25 +640,12 @@ def ball_prob_splitting(
         raise ConfigurationError("rho must be in (0, 1)")
     if n_replicas < 1:
         raise ConfigurationError("n_replicas must be >= 1")
-    c = _center_array(model, center)
-    cb = np.asarray(c)[None, ...] if np.ndim(c) > 0 else c
-    record = {levels[-1]: 0}
-    passes = keyed_map(lambda r: _splitting_pass(
-        model, norm_spec, cb, list(levels), n_per_level, stream.spawn(r).generator(), rho,
-        n_moves, (1, n_per_level), record, strict=True,
-    ), range(n_replicas))
-    logs = [rec_log[0, 0] for rec_log, _, _, _ in passes]
-    vars_ = [rec_var[0, 0] for _, rec_var, _, _ in passes]
-    diag = passes[-1][3]
-    log_mean = float(np.mean(logs))
-    se_formula = math.sqrt(float(np.mean(vars_)) / n_replicas)
-    if n_replicas >= 2:
-        se_emp = float(np.std(logs, ddof=1) / math.sqrt(n_replicas))
-        se = max(se_formula, se_emp)
-    else:
-        se = se_formula
-    n_total = n_replicas * n_per_level * len(levels)
-    return ProbEstimate(min(log_mean, 0.0), se, n_total, "splitting"), diag
+    c = 0.0 if center is None else np.asarray(center, dtype=float)
+    cb = c[None, ...] if np.ndim(c) > 0 else c
+    ests, diag = _replica_estimates(model, norm_spec, cb, list(levels), (levels[-1],),
+                                    n_per_level, stream, range(n_replicas), rho, n_moves,
+                                    strict=True)
+    return ests[0][0], diag
 
 
 def sbf_curve(
@@ -531,7 +665,6 @@ def sbf_curve(
 
     Grid radii are anchors of the ladder, so a single descent records the
     whole curve per replica (estimates across radii share randomness).
-    Replicas run on sibling streams, in parallel through ``keyed_map``.
     """
     eps_grid = tuple(float(e) for e in eps_grid)
     if any(eps_grid[i + 1] >= eps_grid[i] for i in range(len(eps_grid) - 1)):
@@ -541,29 +674,14 @@ def sbf_curve(
     if eps_start is None:
         eps_start = _default_start(pilot, eps_grid[0])
     levels = make_ladder(pilot, eps_start, eps_grid, delta_phi)
-    record = {e: j for j, e in enumerate(eps_grid)}
-    passes = keyed_map(lambda r: _splitting_pass(
-        model, norm_spec, 0.0, levels, n_per_level, stream.spawn(r).generator(), rho,
-        n_moves, (1, n_per_level), record, strict=True,
-    ), range(n_replicas))
-    logs = np.array([rec_log[0] for rec_log, _, _, _ in passes])
-    vars_ = np.array([rec_var[0] for _, rec_var, _, _ in passes])
-    diag = passes[-1][3]
-    ests = []
-    for j, e in enumerate(eps_grid):
-        m = float(logs[:, j].mean())
-        se_f = math.sqrt(float(vars_[:, j].mean()) / n_replicas)
-        se_e = float(logs[:, j].std(ddof=1) / math.sqrt(n_replicas)) if n_replicas >= 2 else 0.0
-        n_tot = n_replicas * n_per_level * len(levels)
-        ests.append(ProbEstimate(min(m, 0.0), max(se_f, se_e), n_tot, "splitting"))
-    curve = SBFCurve(eps_grid, tuple(ests), model.name, norm_spec.describe())
-    return curve, diag
+    ests, diag = _replica_estimates(model, norm_spec, 0.0, levels, eps_grid, n_per_level,
+                                    stream, range(n_replicas), rho, n_moves, strict=True)
+    return SBFCurve(eps_grid, tuple(ests[0]), model.name, norm_spec.describe()), diag
 
 
 def pilot_curve(model: GaussianModel, norm_spec: NormSpec, stream: RandomStream):
     """A cheap monotone pilot phi-like(eps) used only for ladder spacing."""
-    exact = sbf_analytic(model, norm_spec, 1.0)
-    if exact is not None:
+    if "analytic" in route_table(model, norm_spec).centered:
         return lambda e: -sbf_analytic(model, norm_spec, e).log_prob
     # quadratic-in-1/eps fit through two crude MC points
     rng = stream.generator()

@@ -25,27 +25,6 @@ from .errors import ConfigurationError, DomainError, ShapeError
 
 
 @dataclass(frozen=True)
-class Path:
-    """A single draw on a uniform grid. Scalar and spectral draws are
-    degenerate paths (dt = 0) holding one node or one coordinate vector."""
-
-    values: np.ndarray
-    dt: float
-
-    @property
-    def n_nodes(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return 1 if self.values.ndim == 1 else self.values.shape[-1]
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.n_nodes)
-
-
-@dataclass(frozen=True)
 class CmShift:
     """A candidate Cameron-Martin shift given by its values on the model grid."""
 
@@ -290,16 +269,10 @@ def rkhs_norm(model: GaussianModel, shift) -> float:
 
 def cm_log_weight(model: GaussianModel, shift, samples: np.ndarray) -> np.ndarray:
     """log of d(mu shifted by h)/d(mu) at each sample: z_h(y) - |h|^2/2."""
-    h = shift.values if isinstance(shift, CmShift) else shift
-    nsq = model.rkhs_norm_sq(h)
+    nsq = model.rkhs_norm_sq(shift)
     if not math.isfinite(nsq):
         raise DomainError("shift is not in the Cameron-Martin space")
-    return model.paley_wiener(h, samples) - 0.5 * nsq
-
-
-def cm_weight(model: GaussianModel, shift, samples: np.ndarray) -> np.ndarray:
-    """Density ratio of the h-shifted measure against the base measure."""
-    return np.exp(cm_log_weight(model, shift, samples))
+    return model.paley_wiener(shift, samples) - 0.5 * nsq
 
 
 def parse_model(text: str) -> GaussianModel:

@@ -23,12 +23,11 @@ exponent gamma = (1/2 - s - 1/p)^{-1} is 2 for sup and every Lp, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .models import Path
 
 _HOELDER_EXACT_MAX_NODES = 4097
 
@@ -88,10 +87,6 @@ class NormSpec:
     def translation_invariant(self) -> bool:
         """True when constants are in the null space (Hoelder seminorms)."""
         return self.kind == "hoelder"
-
-    def rescaled(self, c: float) -> "NormSpec":
-        a, b = self.interval
-        return NormSpec(self.kind, self.p, self.beta, (a / c, b / c))
 
     def describe(self) -> str:
         """Canonical descriptor: parse_norm(spec.describe()) == spec. The
@@ -279,98 +274,3 @@ def distance_lower_bound(
         sq = total - 2.0 * (tw @ c.T) - slack * total
         lb[:, a : a + len(c)] = np.sqrt(np.maximum(sq, 0.0)) * shrink
     return lb
-
-
-def eval_norm(path: Path | np.ndarray, spec: NormSpec, dt: float | None = None) -> float:
-    """Single-draw convenience wrapper around eval_norm_batch."""
-    if isinstance(path, Path):
-        values, dt = path.values, path.dt
-    else:
-        values = np.asarray(path)
-        if dt is None:
-            raise ConfigurationError("dt is required when passing a bare array")
-    return float(eval_norm_batch(values[None, ...], dt, spec)[0])
-
-
-# -- structural checks -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SimilarityReport:
-    c: float
-    norm_whole: float
-    norm_rescaled: float
-    measured_exponent: float
-    expected_exponent: float
-    residual: float  # |measured - expected| * log(c), in log-norm units
-
-
-def check_self_similarity(
-    spec: NormSpec, values: np.ndarray, dt: float, c: float
-) -> SimilarityReport:
-    """Compare ||f(c .)|| on I/c against c^s ||f|| on I.
-
-    The rescaled path is read off by linear interpolation, exact when c maps
-    grid nodes to grid nodes.
-    """
-    if c <= 1:
-        raise DomainError("rescaling factor c must be > 1")
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise DomainError("self-similarity check expects a single scalar path")
-    n = values.shape[0]
-    times = dt * np.arange(n)
-    whole = eval_norm(values, spec, dt)
-    a, b = spec.interval
-    sub = spec.rescaled(c)
-    ia, ib = _slice_indices(n, dt, (a, b))
-    n_sub = ib - ia  # keep the node count of the subinterval grid
-    t_sub = np.linspace(a / c, b / c, n_sub + 1)
-    f_of_ct = np.interp(c * t_sub, times, values)
-    dt_sub = (b - a) / (c * n_sub)
-    sub_full = NormSpec(sub.kind, sub.p, sub.beta, (0.0, (b - a) / c))
-    rescaled = eval_norm(f_of_ct, sub_full, dt_sub)
-    if whole <= 0 or rescaled <= 0:
-        raise DomainError("norms must be positive for exponent measurement")
-    measured = math.log(rescaled / whole) / math.log(c)
-    expected = spec.sim_exponent
-    return SimilarityReport(
-        c=c,
-        norm_whole=whole,
-        norm_rescaled=rescaled,
-        measured_exponent=measured,
-        expected_exponent=expected,
-        residual=abs(measured - expected) * math.log(c),
-    )
-
-
-@dataclass(frozen=True)
-class SuperadditivityReport:
-    whole: float
-    parts: tuple[float, ...]
-    aggregated: float
-    slack: float  # whole - aggregate; >= 0 (up to tolerance) when the family is superadditive
-
-
-def check_superadditivity(
-    spec: NormSpec, values: np.ndarray, dt: float, breakpoints: tuple[float, ...]
-) -> SuperadditivityReport:
-    """Whole-interval norm against the p-aggregation over a partition.
-
-    For sup and Hoelder the aggregation is the max of the parts; for Lp the
-    p-sum (exact additivity of the trapezoid makes the slack ~ 0 for Lp).
-    """
-    a, b = spec.interval
-    pts = (a,) + tuple(breakpoints) + (b,)
-    if any(pts[i + 1] <= pts[i] for i in range(len(pts) - 1)):
-        raise DomainError("breakpoints must be strictly increasing inside the interval")
-    whole = eval_norm(values, spec, dt)
-    parts = tuple(
-        eval_norm(values, NormSpec(spec.kind, spec.p, spec.beta, (pts[i], pts[i + 1])), dt)
-        for i in range(len(pts) - 1)
-    )
-    if spec.kind == "lp":
-        agg = float(np.sum(np.asarray(parts) ** spec.p) ** (1.0 / spec.p))
-    else:
-        agg = max(parts)
-    return SuperadditivityReport(whole=whole, parts=parts, aggregated=agg, slack=whole - agg)

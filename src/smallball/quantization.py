@@ -27,6 +27,7 @@ from .streams import RandomStream, keyed_map
 
 REFRESH_EVERY = 64  # test draws served by one codebook draw
 DRAW_BLOCK_BYTES = 2**20  # float64 draw buffer while a codebook is built
+SCAN_BLOCK_BYTES = 2**24  # float32 differences evaluated at once by the exact scan
 Z_QUANTILE_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
@@ -130,19 +131,24 @@ def nearest_distance(
     blocks of ``chunk`` codewords, only pairs whose bound does not exceed the
     best exact distance so far are evaluated. A pair left out has a bound,
     hence an exact distance, above a distance already found, so the minimum
-    is the one a full scan returns, bit for bit, for every chunk size.
+    is the one a full scan returns, bit for bit, for every chunk size. The
+    kept pairs of a block are evaluated in slices of at most
+    SCAN_BLOCK_BYTES of differences, which bounds the scratch memory where
+    no screen prunes; a minimum does not depend on the order.
     """
     t32 = np.asarray(test, dtype=np.float32)
     e32 = np.asarray(codebook.entries, dtype=np.float32)
     lb = distance_lower_bound(t32, e32, dt, norm_spec)
     guess = e32[lb.argmin(axis=1)]
     best = eval_norm_batch(t32 - guess, dt, norm_spec).astype(np.float64)
+    per_slice = max(1, SCAN_BLOCK_BYTES // (4 * math.prod(t32.shape[1:])))
     for a in range(0, codebook.n, chunk):
         i, j = np.nonzero(lb[:, a : a + chunk] <= best[:, None])
-        if len(i):
-            diff = t32[i]
-            diff -= e32[a + j]
-            np.minimum.at(best, i, eval_norm_batch(diff, dt, norm_spec))
+        for b in range(0, len(i), per_slice):
+            ib, jb = i[b : b + per_slice], j[b : b + per_slice]
+            diff = t32[ib]
+            diff -= e32[a + jb]
+            np.minimum.at(best, ib, eval_norm_batch(diff, dt, norm_spec))
     return best
 
 
@@ -288,24 +294,25 @@ def invert_gauge(curve: GaugeCurve | SBFCurve, which: str = "mean") -> InverseGa
     Noisy local inversions are pooled away by isotonic projection and each
     pooled block becomes a single knot at its weight-averaged log radius; a
     curve that pools down to fewer than two knots is flat in depth and
-    raises DataError. Knots the projection left alone round-trip exactly.
+    raises DataError. Radii whose gauge value is NaN (censored) are left
+    out. Knots the projection left alone round-trip exactly.
     """
+    eps = np.array(curve.eps_grid)
     if isinstance(curve, SBFCurve):
-        eps = np.array(curve.eps_grid)
         vals = curve.phi
         w = 1.0 / np.maximum(curve.stderr, 1e-9) ** 2
     elif which == "mean":
-        eps = np.array(curve.eps_grid)
         vals = np.array(curve.mean)
         w = 1.0 / np.maximum(np.array(curve.mean_se), 1e-9) ** 2
     elif which == "median":
-        eps = np.array(curve.eps_grid)
         vals = np.array(curve.median)
         w = np.ones_like(vals)
     else:
         raise ConfigurationError("which must be 'mean' or 'median'")
     if len(eps) < 2:
         raise ConfigurationError("need at least two knots to invert")
+    kept = ~np.isnan(vals)  # a censored gauge radius has no mean or median
+    eps, vals, w = eps[kept], vals[kept], w[kept]
     if np.any(vals <= 0):
         raise DataError("depth values must be positive for log-log inversion")
     # grid is stored radius-decreasing = depth-increasing; pooled entries
@@ -361,21 +368,3 @@ def verify_distortion_gauge_match(
     note = "" if hypothesis_ok else "growth hypothesis unmet; informational only"
     rows.append(CheckRow("distortion-gauge-match", verdict, ratios[-1][1], 1.0 + cfg.slack, note))
     return Report("distortion-gauge-match", tuple(rows))
-
-
-def verify_distortion_upper_bound(
-    results, sbf_inverse, cfg: VerifierConfig | None = None, hypothesis_ok: bool = True
-) -> Report:
-    """D(r, s) <= (1+slack) * 2 * inverse-centered-curve(r/2), per rate."""
-    cfg = cfg or VerifierConfig()
-    rows = []
-    for q in sorted(results, key=lambda x: x.r):
-        cap = (1.0 + cfg.slack) * 2.0 * float(sbf_inverse(q.r / 2.0))
-        ok = q.d_hat - cfg.k_sigma * q.stderr <= cap
-        rows.append(
-            CheckRow("distortion-upper", ok if hypothesis_ok else None, q.d_hat, cap,
-                     f"r={q.r:g}" + ("" if hypothesis_ok else "; informational"))
-        )
-    if not rows:
-        raise ConfigurationError("no quantization results given")
-    return Report("distortion-upper", tuple(rows))

@@ -14,27 +14,30 @@ Verdict rows carry stable claim slugs ("lower-envelope", "two-scale-upper",
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, ndtr, ndtri
+from scipy.special import gammaln, ndtr, ndtri
 
 from .errors import ConfigurationError, DataError, DomainError, PowerWarning
 from .estimators import (
     ProbEstimate,
     SBFCurve,
-    _splitting_pass,
+    _replica_estimates,
     ball_prob_mc,
+    log_mass,
     make_ladder,
     pilot_curve,
+    require_route,
+    route_table,
     sbf_analytic,
 )
 from .models import GaussianModel, Scalar, rkhs_norm
 from .norms import NormSpec, eval_norm_batch
 from .streams import RandomStream, keyed_map
-from .transfer import band_log_prob, band_log_probs, transfer_applies
 
 GATE_LOG_LEVEL = -math.log(ndtr(-3.0))  # ~ 6.6077, the probe's depth gate
 SHALLOW_DEPTH_FLOOR = 0.1  # nats; doubling pairs with a shallower wide ball are ignored
@@ -161,15 +164,6 @@ def moment_upper_bound(phi_half: float, p: int) -> float:
 # -- sampling -----------------------------------------------------------------
 
 
-def _scalar_ell_exact(x: np.ndarray, eps: float) -> np.ndarray:
-    # -log(Phi(x+eps) - Phi(x-eps)); the mass is even in x, and reflecting to
-    # x <= 0 keeps both logcdf calls in the accurate left tail at any depth
-    y = -np.abs(np.asarray(x, dtype=float))
-    a = log_ndtr(y + eps)
-    b = log_ndtr(y - eps)
-    return -(a + np.log1p(-np.exp(b - a)))
-
-
 def sample_rsbf(
     model: GaussianModel,
     norm_spec: NormSpec,
@@ -202,33 +196,19 @@ def sample_rsbf(
         raise ConfigurationError("n_centers must be >= 2")
     if any(e <= 0 for e in eps_grid):
         raise DomainError("all radii must be positive")
+    require_route(model, norm_spec, estimator, "shifted")
     centers = model.sample_values(stream.spawn(0).generator(), n_centers)
-    out: list[RSBFSample] = []
 
     if estimator == "mc":
-        for i in range(n_centers):
-            for j, eps in enumerate(eps_grid):
-                est = ball_prob_mc(
-                    model, norm_spec, eps, n_samples,
-                    stream.spawn(1 + i * len(eps_grid) + j), center=centers[i],
-                )
-                out.append(RSBFSample(i, eps, est))
-        return out
+        return [RSBFSample(i, eps, ball_prob_mc(model, norm_spec, eps, n_samples,
+                                                stream.spawn(1 + i * len(eps_grid) + j),
+                                                center=centers[i]))
+                for i in range(n_centers) for j, eps in enumerate(eps_grid)]
 
     if estimator == "transfer":
-        if not transfer_applies(model, norm_spec):
-            raise ConfigurationError("transfer estimator needs a 1-d Brownian path model "
-                                     "and the sup norm on the full horizon")
-        lps = keyed_map(lambda eps: band_log_probs(centers - eps, centers + eps, model.dt),
-                        eps_grid)
-        for i in range(n_centers):
-            for eps, lp in zip(eps_grid, lps):
-                out.append(RSBFSample(i, eps, ProbEstimate(min(float(lp[i]), 0.0), 0.0, 0,
-                                                           "analytic")))
-        return out
-
-    if estimator != "splitting":
-        raise ConfigurationError(f"unknown estimator {estimator!r}")
+        lps = keyed_map(lambda eps: log_mass(model, norm_spec, centers, eps), eps_grid)
+        return [RSBFSample(i, eps, ProbEstimate(min(float(lp[i]), 0.0), 0.0, 0, "analytic"))
+                for i in range(n_centers) for eps, lp in zip(eps_grid, lps)]
 
     # shared-ladder batched splitting
     pilot = pilot_curve(model, norm_spec, stream.spawn(10_001))
@@ -241,28 +221,11 @@ def sample_rsbf(
         q.append(float(np.quantile(d, 0.5)))
     eps_start = max(max(q), 1.05 * eps_grid[0])
     levels = make_ladder(pilot, eps_start, eps_grid, delta_phi)
-    record = {e: j for j, e in enumerate(eps_grid)}
-    B = n_centers
-    passes = keyed_map(lambda r: _splitting_pass(
-        model, norm_spec, centers, levels, n_per_level, stream.spawn(100 + r).generator(),
-        rho, n_moves, (B, n_per_level), record, strict=False,
-    ), range(n_replicas))
-    logs = np.array([rec_log for rec_log, _, _, _ in passes])
-    vars_ = np.array([rec_var for _, rec_var, _, _ in passes])
-    any_dead = np.any([dead for _, _, dead, _ in passes], axis=0)
-    n_tot = n_replicas * n_per_level * len(levels)
-    for i in range(B):
-        for j, eps in enumerate(eps_grid):
-            vals = logs[:, i, j]
-            if any_dead[i]:
-                est = ProbEstimate(min(float(vals.min()), 0.0), math.inf, n_tot, "splitting", bound=True)
-            else:
-                m = float(vals.mean())
-                se_f = math.sqrt(float(vars_[:, i, j].mean()) / n_replicas)
-                se_e = float(vals.std(ddof=1) / math.sqrt(n_replicas)) if n_replicas >= 2 else 0.0
-                est = ProbEstimate(min(m, 0.0), max(se_f, se_e), n_tot, "splitting")
-            out.append(RSBFSample(i, eps, est))
-    return out
+    ests, _ = _replica_estimates(model, norm_spec, centers, levels, eps_grid, n_per_level,
+                                 stream, range(100, 100 + n_replicas), rho, n_moves,
+                                 strict=False)
+    return [RSBFSample(i, eps, est) for i, row in enumerate(ests)
+            for eps, est in zip(eps_grid, row)]
 
 
 def _by_eps(samples) -> dict[float, list[RSBFSample]]:
@@ -278,6 +241,15 @@ def _lower_mid_median(sorted_vals: np.ndarray) -> float:
     return float(sorted_vals[(len(sorted_vals) - 1) // 2])
 
 
+def _exact_ranks(ell: np.ndarray, bound: np.ndarray) -> int:
+    """How many of the smallest costs are exact order statistics: a true cost
+    is at least its censored value, so rank k is exact while no censored cost
+    sorts at or below it (uncensored first on ties); so k < (1 - censored) n."""
+    if not bound.any():
+        return len(ell)
+    return int(np.argmax(bound[np.lexsort((bound, ell))]))
+
+
 def gauge_stats(
     samples,
     moment_p=(1, 2),
@@ -288,7 +260,10 @@ def gauge_stats(
     """Summarize an RSBF panel into a gauge curve.
 
     ``centered`` is an optional callable eps -> centered negative log mass,
-    used to emit the deterministic per-p moment bound columns. Bootstrap
+    used to emit the deterministic per-p moment bound columns. A radius
+    with censored (bound) rows reports NaN for the mean, its error, the
+    stddev and the moments, and for each quantile (median, its bootstrap
+    interval, the quartiles) that a censored cost could move. Bootstrap
     resampling runs over centers on a fixed stream (pass one to decouple
     from the default).
     """
@@ -301,6 +276,7 @@ def gauge_stats(
     mbound: dict[int, list[float]] = {int(p): [] for p in moment_p} if centered else {}
     for eps, group in groups.items():
         ell = np.array([s.ell_hat.phi for s in group])
+        bound = np.array([s.ell_hat.bound for s in group])
         n = len(ell)
         if n < 30:
             warnings.warn(
@@ -310,21 +286,30 @@ def gauge_stats(
             )
         svals = np.sort(ell)
         eps_grid.append(eps)
-        med.append(_lower_mid_median(svals))
-        mean.append(float(ell.mean()))
-        mean_se.append(float(ell.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0)
+        # a censored (bound) cost is only a lower bound: every average over
+        # it is undefined, and an order statistic is kept while it is exact
+        censored = bool(bound.any())
+        n_exact = _exact_ranks(ell, bound)
+        med.append(_lower_mid_median(svals) if (n - 1) // 2 < n_exact else math.nan)
+        mean.append(math.nan if censored else float(ell.mean()))
+        mean_se.append(math.nan if censored else
+                       float(ell.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0)
         q25, q75 = np.quantile(ell, [0.25, 0.75])
+        q25 = q25 if math.ceil((n - 1) * 0.25) < n_exact else math.nan
+        q75 = q75 if math.ceil((n - 1) * 0.75) < n_exact else math.nan
         iqr.append(float(q75 - q25))
-        std.append(float(ell.std(ddof=1)) if n > 1 else 0.0)
-        rel.append((q75 - q25) / med[-1] if med[-1] > 0 else math.inf)
+        std.append(math.nan if censored else float(ell.std(ddof=1)) if n > 1 else 0.0)
+        rel.append(math.inf if med[-1] <= 0 else (q75 - q25) / med[-1])
         boot_med = np.empty(n_boot)
         for b in range(n_boot):
             take = rng.integers(0, n, n)
             boot_med[b] = _lower_mid_median(np.sort(ell[take]))
+            if censored and (n - 1) // 2 >= _exact_ranks(ell[take], bound[take]):
+                boot_med[b] = math.nan
         lo, hi = np.quantile(boot_med, [0.025, 0.975])
         med_ci.append((float(lo), float(hi)))
         for p in mom:
-            mom[p].append(float(np.mean(ell**p) ** (1.0 / p)))
+            mom[p].append(math.nan if censored else float(np.mean(ell**p) ** (1.0 / p)))
         if mbound:
             phi_half = centered(eps / 2.0)
             for p in mbound:
@@ -358,7 +343,8 @@ def verify_enclosure(sbf: SBFCurve, samples, cfg: VerifierConfig) -> Report:
     """Centered curve as envelope of the random one, from both sides.
 
     Per radius: (a) no center's ell may undercut the centered value beyond
-    k_sigma combined noise (the lower envelope is exact, not asymptotic);
+    k_sigma combined noise (the lower envelope is exact, not asymptotic;
+    a bound row only bounds its cost from below and is not counted);
     (b) the fraction of centers below (1+slack) * 2 * centered(eps/2) is
     reported, and must not decrease as the radius shrinks.
     """
@@ -368,9 +354,9 @@ def verify_enclosure(sbf: SBFCurve, samples, cfg: VerifierConfig) -> Report:
         phi = curve_value(sbf, eps)
         viol = 0
         for s in group:
-            se = math.hypot(s.ell_hat.stderr_log if math.isfinite(s.ell_hat.stderr_log) else 0.0,
-                            phi.stderr_log)
-            if s.ell_hat.phi < phi.phi - cfg.k_sigma * se:
+            # a bound row's cost is only a lower bound, no evidence of an undercut
+            se = math.hypot(s.ell_hat.stderr_log, phi.stderr_log)
+            if not s.ell_hat.bound and s.ell_hat.phi < phi.phi - cfg.k_sigma * se:
                 viol += 1
         rows.append(CheckRow("lower-envelope", viol == 0, float(viol), 0.0,
                              f"eps={eps:g}, centers={len(group)}"))
@@ -393,15 +379,16 @@ def verify_enclosure(sbf: SBFCurve, samples, cfg: VerifierConfig) -> Report:
 def verify_gauge_sandwich(sbf: SBFCurve, gauge: GaugeCurve, cfg: VerifierConfig) -> Report:
     """centered(eps/sqrt 2) <= (1+slack) mean[ell_eps] <= (1+slack)^2 *
     2 centered(eps/2), per grid radius, with k_sigma noise allowance on the
-    panel mean."""
+    panel mean; informational at a radius whose mean is censored."""
     rows: list[CheckRow] = []
     for j, eps in enumerate(gauge.eps_grid):
         mean, se = gauge.mean[j], gauge.mean_se[j]
         lo = curve_value(sbf, eps / math.sqrt(2.0)).phi
         hi = 2.0 * curve_value(sbf, eps / 2.0).phi
         s = 1.0 + cfg.slack
-        ok_lo = lo <= s * (mean + cfg.k_sigma * se)
-        ok_hi = s * (mean - cfg.k_sigma * se) <= s * s * hi
+        decided = not math.isnan(mean)  # a censored radius has no mean
+        ok_lo = lo <= s * (mean + cfg.k_sigma * se) if decided else None
+        ok_hi = s * (mean - cfg.k_sigma * se) <= s * s * hi if decided else None
         rows.append(CheckRow("gauge-lower", ok_lo, lo, s * mean, f"eps={eps:g}"))
         rows.append(CheckRow("gauge-upper", ok_hi, s * mean, s * s * hi, f"eps={eps:g}"))
     return Report("gauge-sandwich", tuple(rows))
@@ -452,23 +439,6 @@ def check_doubling(sbf: SBFCurve, which: str, cfg: VerifierConfig) -> Report:
 
 
 # -- shifted-ball machinery ----------------------------------------------------
-
-
-def _log_ball_mass_fn(model: GaussianModel, norm_spec: NormSpec, radius: float):
-    """Deterministic x -> log mu(B(x, radius)) for the models that admit one."""
-    if isinstance(model, Scalar):
-        def f(center) -> float:
-            return -float(_scalar_ell_exact(np.asarray(float(center)), radius))
-        return f
-    if transfer_applies(model, norm_spec):
-        def f(center) -> float:
-            c = np.asarray(center, dtype=float)
-            return band_log_prob(c - radius, c + radius, model.dt, start=0.0)
-        return f
-    raise ConfigurationError(
-        "deterministic ball-mass evaluation needs the scalar model or a 1-d "
-        "Brownian path with the full-horizon sup norm"
-    )
 
 
 def _random_shift(model: GaussianModel, magnitude: float, rng) -> np.ndarray | float:
@@ -573,17 +543,16 @@ def lipschitz_probe(
     (the regime where the constant 8 is not promised).
     """
     cfg = cfg or VerifierConfig()
-    psi = _log_ball_mass_fn(model, norm_spec, 2.0 * eps)
-    origin = 0.0 if isinstance(model, Scalar) else np.zeros(model.grid().shape)
+    psi = functools.partial(log_mass, model, norm_spec, eps=2.0 * eps)
+    origin = np.zeros(model.value_shape)
     phi_2e = -psi(origin)
-    phi_e = -_log_ball_mass_fn(model, norm_spec, eps)(origin)
+    phi_e = -log_mass(model, norm_spec, origin, eps)
     gate_ok = phi_2e >= GATE_LOG_LEVEL
     if not gate_ok and enforce_gate:
         raise DomainError(
             f"ball at 2*eps too shallow for the probe: depth {phi_2e:.4f} < "
             f"{GATE_LOG_LEVEL:.4f}; shrink eps or pass enforce_gate=False"
         )
-    decisive = gate_ok
     rows = [CheckRow("log-lipschitz-gate", None, phi_2e, GATE_LOG_LEVEL,
                      "met" if gate_ok else "not met; rows informational")]
     lip = 8.0 * math.sqrt(phi_e)
@@ -605,7 +574,7 @@ def lipschitz_probe(
         worst = max(worst, delta - lip * hn)
         if delta > lip * hn + 1e-9:
             viol += 1
-    rows.append(CheckRow("log-lipschitz", (viol == 0) if decisive else None,
+    rows.append(CheckRow("log-lipschitz", (viol == 0) if gate_ok else None,
                          float(viol), 0.0, f"tested={tested} of {n_pairs}, worst excess={worst:.3g}"))
     if tested == 0:
         warnings.warn("no pair was certified inside the enlarged ball", PowerWarning, stacklevel=2)
@@ -648,9 +617,8 @@ def shift_inequality_check(
             raise ConfigurationError("ball sets need a norm")
         # path models: estimate both masses from the same sampled measure so
         # the grid bias cancels instead of leaking into the comparison
-        exact = sbf_analytic(model, norm_spec, param) if isinstance(model, Scalar) else None
-        if exact is not None:
-            mu_a = math.exp(exact.log_prob)
+        if "analytic" in route_table(model, norm_spec).exact:
+            mu_a = math.exp(sbf_analytic(model, norm_spec, param).log_prob)
             se_a = 0.0
         else:
             est = ball_prob_mc(model, norm_spec, param, n_samples, stream.spawn(0))
@@ -690,14 +658,13 @@ def verify_enlarged_ball(
     """
     cfg = cfg or VerifierConfig()
     if isinstance(model, Scalar):
-        exact = sbf_analytic(model, norm_spec, eps)
-        phi = exact.phi
+        phi = sbf_analytic(model, norm_spec, eps).phi
         m = 3.0 * math.sqrt(phi)
         out_mass = 2.0 * ndtr(-(eps + m * model.sigma) / model.sigma)
         row = CheckRow("enlarged-ball", out_mass <= math.exp(-phi), out_mass,
                        math.exp(-phi), f"eps={eps:g}, exact interval arithmetic")
         return Report("enlarged-ball", (row,))
-    phi = -_log_ball_mass_fn(model, norm_spec, eps)(np.zeros(model.grid().shape))
+    phi = -log_mass(model, norm_spec, np.zeros(model.value_shape), eps)
     budget = 3.0 * math.sqrt(phi)
     rng = stream.generator()
     ys = model.sample_values(rng, n_samples)
@@ -716,22 +683,27 @@ def verify_enlarged_ball(
 # -- trend verifiers over the panel -------------------------------------------
 
 
-def _paired_boot_diffs(groups, statistic, n_boot, rng) -> list[tuple[float, float, float]]:
-    """Bootstrap CIs for consecutive differences of a per-eps panel statistic,
-    resampling centers jointly so the pairing is preserved."""
+def _trend_report(claim: str, samples, statistic, rng, n_boot: int) -> Report:
+    """One row per consecutive radius pair: the panel statistic must not
+    grow as the radius shrinks, judged on a bootstrap interval of the
+    difference that resamples centers jointly, so the pairing is kept."""
+    groups = _by_eps(samples)
+    if len(groups) < 2:
+        raise ConfigurationError("need at least two radii for a trend")
     keys = list(groups)
-    mats = {k: np.array([s.ell_hat.phi for s in groups[k]]) for k in keys}
-    n = len(mats[keys[0]])
-    out = []
+    mats = [np.array([s.ell_hat.phi for s in groups[k]]) for k in keys]
+    n = len(mats[0])
+    rows = []
     for j in range(len(keys) - 1):
-        a, b = mats[keys[j]], mats[keys[j + 1]]
+        a, b = mats[j], mats[j + 1]
         diffs = np.empty(n_boot)
         for t in range(n_boot):
             take = rng.integers(0, n, n)
             diffs[t] = statistic(b[take]) - statistic(a[take])
-        lo, hi = np.quantile(diffs, [0.025, 0.975])
-        out.append((statistic(b) - statistic(a), float(lo), float(hi)))
-    return out
+        lo, hi = (float(q) for q in np.quantile(diffs, [0.025, 0.975]))
+        rows.append(CheckRow(claim, lo <= 0.0, statistic(b) - statistic(a), 0.0,
+                             f"eps {keys[j]:g}->{keys[j+1]:g}, boot CI [{lo:.3g}, {hi:.3g}]"))
+    return Report(claim, tuple(rows))
 
 
 def _rel_iqr_stat(v: np.ndarray) -> float:
@@ -748,28 +720,12 @@ def _mean_median_gap_stat(v: np.ndarray) -> float:
 def dispersion_trend(samples, stream: RandomStream | None = None, n_boot: int = 400) -> Report:
     """Relative spread of ell (IQR over median) must not grow as the radius
     shrinks, judged on paired bootstrap intervals over the shared centers."""
-    groups = _by_eps(samples)
-    if len(groups) < 2:
-        raise ConfigurationError("need at least two radii for a trend")
     rng = (stream or RandomStream(1234, (78,))).generator()
-    rows = []
-    keys = list(groups)
-    for j, (d, lo, hi) in enumerate(_paired_boot_diffs(groups, _rel_iqr_stat, n_boot, rng)):
-        rows.append(CheckRow("concentration-trend", lo <= 0.0, d, 0.0,
-                             f"eps {keys[j]:g}->{keys[j+1]:g}, boot CI [{lo:.3g}, {hi:.3g}]"))
-    return Report("concentration-trend", tuple(rows))
+    return _trend_report("concentration-trend", samples, _rel_iqr_stat, rng, n_boot)
 
 
 def mean_median_trend(samples, stream: RandomStream | None = None, n_boot: int = 400) -> Report:
     """|mean/median - 1| must not grow as the radius shrinks (the two gauges
     coalesce), judged on paired bootstrap intervals."""
-    groups = _by_eps(samples)
-    if len(groups) < 2:
-        raise ConfigurationError("need at least two radii for a trend")
     rng = (stream or RandomStream(1234, (79,))).generator()
-    rows = []
-    keys = list(groups)
-    for j, (d, lo, hi) in enumerate(_paired_boot_diffs(groups, _mean_median_gap_stat, n_boot, rng)):
-        rows.append(CheckRow("mean-median-trend", lo <= 0.0, d, 0.0,
-                             f"eps {keys[j]:g}->{keys[j+1]:g}, boot CI [{lo:.3g}, {hi:.3g}]"))
-    return Report("mean-median-trend", tuple(rows))
+    return _trend_report("mean-median-trend", samples, _mean_median_gap_stat, rng, n_boot)

@@ -37,6 +37,7 @@ from smallball.errors import PowerWarning
 from smallball.estimators import (
     ProbEstimate,
     SBFCurve,
+    _scalar_ell_exact,
     ball_prob_mc,
     richardson_extrapolate,
     sbf_analytic,
@@ -53,7 +54,6 @@ from smallball.quantization import (
 )
 from smallball.rsbf import (
     VerifierConfig,
-    _scalar_ell_exact,
     dispersion_trend,
     gauge_stats,
     sample_rsbf,

@@ -10,6 +10,7 @@ import pytest
 
 from smallball import cli
 from smallball.errors import ConfigurationError, DataError, PowerWarning, RangeError
+from smallball.estimators import centered_depth, depth_floor
 from smallball.models import Scalar, WienerPath
 from smallball.norms import parse_norm
 from smallball.streams import keyed_map
@@ -281,6 +282,27 @@ def test_main_all_hits_mc_is_exit_0(tmp_path, argv, table):
             assert "-0" not in line.split(","), written.name
 
 
+def test_censored_panel_writes_no_average(tmp_path):
+    # every center of this panel has zero hits: four bound rows, whose costs
+    # are only lower bounds, so the gauge must not average them
+    out = tmp_path / "c"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PowerWarning)
+        code = cli.main(["rsbf", "--model", "wiener:n=16", "--norm", "sup:a=0,b=0.5",
+                         "--eps", "0.05", "--centers", "4", "--estimator", "mc",
+                         "--samples", "1000", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    header, *rows = [line.split(",") for line in (out / "rsbf_samples.csv").read_text()
+                     .replace('"sup:a=0,b=0.5"', "sup").splitlines()]
+    assert len(rows) == 4 and all(dict(zip(header, r))["bound"] == "true" for r in rows)
+    header, row = [line.split(",") for line in (out / "rsbf_gauge.csv").read_text()
+                   .replace('"sup:a=0,b=0.5"', "sup").splitlines()]
+    gauge = dict(zip(header, row))
+    for col in ("mean", "mean_se", "median", "median_lo", "median_hi", "iqr", "stddev",
+                "rel_iqr", "moment_p1", "moment_p2"):
+        assert gauge[col] == "nan", col
+
+
 def test_main_config_errors(tmp_path, capsys):
     assert cli.main(["sbf", "--bogus"]) == 1
     err = capsys.readouterr().err
@@ -421,8 +443,8 @@ def test_eps_for_depth_starts_at_the_first_finite_radius():
     # wide end, where each sweep spans thousands of cells
     model = WienerPath(n_steps=256)
     spec = parse_norm("sup")
-    depth = cli._centered_fn(model, spec)
-    lo = cli._finite_depth_floor(model, spec)
+    depth = centered_depth(model, spec)
+    lo = depth_floor(model, spec)
     assert math.isfinite(depth(lo))
     assert depth(lo / (1.0 + 2.0**-20) * (1.0 - 2.0**-20)) == math.inf
     for target in (0.5, 9.8):

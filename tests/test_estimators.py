@@ -6,22 +6,29 @@ from scipy.stats import norm as gauss
 
 from smallball.errors import ConfigurationError, DomainError, LadderError, PowerWarning
 from smallball.estimators import (
+    COMMANDS,
+    ROUTE_TABLE,
     ProbEstimate,
     SBFCurve,
     _default_start,
+    _scalar_ell_exact,
     ball_prob_mc,
     ball_prob_splitting,
+    centered_curve,
+    centered_depth,
+    log_mass,
     make_ladder,
+    pick_routes,
     pilot_curve,
     richardson_extrapolate,
+    route_table,
     sbf_analytic,
     sbf_curve,
-    shifted_ball_prob_cm,
 )
-from smallball.models import BrownianBridge, Scalar, WienerPath
-from smallball.norms import NormSpec, parse_norm
+from smallball.models import BrownianBridge, FiniteSpectrum, Scalar, WienerPath, cm_log_weight
+from smallball.norms import NormSpec, eval_norm_batch, parse_norm
 from smallball.streams import RandomStream
-from smallball.transfer import band_log_prob
+from smallball.transfer import band_log_prob, band_log_probs, transfer_applies
 
 SUP = NormSpec("sup")
 
@@ -91,6 +98,95 @@ def test_analytic_returns_none_off_catalog():
     assert sbf_analytic(WienerPath(n_steps=16), NormSpec("sup", interval=(0.0, 0.5)), 0.5) is None
     with pytest.raises(DomainError):
         sbf_analytic(Scalar(), SUP, 0.0)
+
+
+# -- the route table ----------------------------------------------------------------
+
+ROUTE_PAIRS = [
+    (Scalar(), SUP), (Scalar(sigma=2.0), NormSpec("lp", p=2.0)),
+    (WienerPath(n_steps=64), SUP), (WienerPath(n_steps=64, horizon=2.0), parse_norm("sup:b=2")),
+    (WienerPath(n_steps=64), parse_norm("sup:a=0,b=0.5")), (WienerPath(n_steps=64, d=2), SUP),
+    (WienerPath(n_steps=64), parse_norm("lp:p=2")), (BrownianBridge(n_steps=64), SUP),
+    (BrownianBridge(n_steps=64), parse_norm("hoelder")), (FiniteSpectrum((1.0, 0.5)), SUP),
+]
+
+
+@pytest.mark.parametrize("model, spec", ROUTE_PAIRS)
+def test_route_table_agrees_with_the_routes_themselves(model, spec):
+    routes = route_table(model, spec)
+    assert ("analytic" in routes.centered) == (sbf_analytic(model, spec, 0.5) is not None)
+    assert ("transfer" in routes.centered) == transfer_applies(model, spec)
+    assert ("transfer" in routes.shifted) == transfer_applies(model, spec)
+    assert set(routes.exact) <= set(routes.centered)
+    assert {"mc", "splitting"} <= set(routes.shifted) and "analytic" not in routes.shifted
+    for command, route in zip(COMMANDS, routes.auto):
+        curve, panel = pick_routes(model, spec, command)
+        assert route in (curve, panel)
+        assert curve is None or curve in routes.centered
+        assert panel is None or panel in routes.shifted
+    assert (centered_depth(model, spec) is None) == (not routes.exact)
+
+
+def test_route_table_rows():
+    assert sorted(ROUTE_TABLE) == ["bridge-sup", "other", "scalar", "wiener-sup"]
+    # scalar rsbf counts hits although an exact random-center law exists
+    assert pick_routes(Scalar(), SUP, "rsbf") == (None, "mc")
+    assert pick_routes(Scalar(), SUP, "verify-all") == ("analytic", "mc")
+    assert pick_routes(Scalar(), SUP, "quantize") == (None, "splitting")
+    # the bridge's closed form is the continuum, not the panel's grid measure
+    assert pick_routes(BrownianBridge(n_steps=64), SUP, "sbf") == ("analytic", None)
+    assert pick_routes(BrownianBridge(n_steps=64), SUP, "verify-all") == ("splitting", "splitting")
+    assert pick_routes(BrownianBridge(n_steps=64), SUP, "quantize") == (None, None)
+    wiener = WienerPath(n_steps=64)
+    for command in ("sbf", "rsbf", "verify-all", "quantize"):
+        assert "transfer" in pick_routes(wiener, SUP, command)
+    # a panel asked for the closed form counts hits
+    assert pick_routes(wiener, SUP, "rsbf", "analytic") == (None, "mc")
+    assert pick_routes(wiener, SUP, "verify-all", "analytic") == ("analytic", "mc")
+
+
+def test_unsupported_route_names_the_pair_and_the_routes():
+    with pytest.raises(ConfigurationError,
+                       match=r"no transfer route for centered balls of bridge under sup; "
+                             r"supported: analytic, mc, splitting"):
+        pick_routes(BrownianBridge(n_steps=64), SUP, "sbf", "transfer")
+    with pytest.raises(ConfigurationError, match=r"wiener under lp:p=2; supported: none"):
+        log_mass(WienerPath(n_steps=64), parse_norm("lp:p=2"), np.zeros(65), 0.5)
+    with pytest.raises(ConfigurationError, match="supported: mc, splitting"):
+        pick_routes(Scalar(), SUP, "rsbf", "transfer")
+
+
+def test_log_mass_is_the_exact_route():
+    model = WienerPath(n_steps=64)
+    centers = model.sample_values(RandomStream(40).generator(), 3)
+    one = [log_mass(model, SUP, c, 0.5) for c in centers]
+    assert one == [band_log_prob(c - 0.5, c + 0.5, model.dt, start=0.0) for c in centers]
+    # one row swept alone gives the same floats as the one-band sweep
+    assert [float(log_mass(model, SUP, c[None], 0.5)[0]) for c in centers] == one
+    assert np.array_equal(log_mass(model, SUP, centers, 0.5),
+                          band_log_probs(centers - 0.5, centers + 0.5, model.dt))
+    xs = np.array([-1.5, 0.0, 0.3])
+    assert np.array_equal(log_mass(Scalar(), SUP, xs, 0.5), -_scalar_ell_exact(xs, 0.5))
+    assert log_mass(Scalar(), SUP, 0.3, 0.5) == -float(_scalar_ell_exact(0.3, 0.5))
+    # the scalar depth keeps the closed form of the centered ball
+    assert centered_depth(Scalar(), SUP)(0.5) == sbf_analytic(Scalar(), SUP, 0.5).phi
+    ones = np.ones(65)
+    assert centered_depth(model, SUP)(0.5) == -band_log_prob(-0.5 * ones, 0.5 * ones, model.dt)
+
+
+def test_centered_curve_routes():
+    model = WienerPath(n_steps=64)
+    grid = (0.5, 0.4)
+    transfer = centered_curve(model, SUP, grid, "transfer", RandomStream(41), 0)
+    band = np.outer(grid, np.ones(65))
+    assert [e.log_prob for e in transfer.estimates] == list(
+        band_log_probs(-band, band, model.dt))
+    analytic = centered_curve(model, SUP, grid, "analytic", RandomStream(41), 0)
+    assert analytic.estimates == tuple(sbf_analytic(model, SUP, e) for e in grid)
+    mc = centered_curve(model, SUP, (1.0, 0.8), "mc", RandomStream(41), 5000)
+    assert mc.estimates[1] == ball_prob_mc(model, SUP, 0.8, 5000, RandomStream(41).spawn(1))
+    with pytest.raises(ConfigurationError):
+        centered_curve(BrownianBridge(n_steps=64), SUP, grid, "transfer", RandomStream(41), 0)
 
 
 # -- estimate containers ---------------------------------------------------------
@@ -167,22 +263,30 @@ def test_mc_validation():
         ball_prob_mc(Scalar(), SUP, 1.0, 0, RandomStream(0))
 
 
+def cm_reweighted(model, spec, h, eps, n_samples, stream):
+    """log mu(B(h, eps)) with its stderr from centered draws reweighted by
+    the Cameron-Martin density: E[1{||X|| <= eps} w(X)], log w = z_{-h}(X) -
+    |h|^2/2."""
+    x = model.sample_values(stream.generator(), n_samples)
+    lw = cm_log_weight(model, -np.asarray(h, dtype=float), x)
+    w = np.where(eval_norm_batch(x, model.dt, spec) <= eps, np.exp(lw), 0.0)
+    m = float(w.mean())
+    return math.log(m), float(w.std(ddof=1) / math.sqrt(n_samples)) / m
+
+
 def test_cm_reweighted_matches_shifted_oracle():
     # scalar shifted ball has the exact mass Phi(h+eps) - Phi(h-eps)
-    est = shifted_ball_prob_cm(Scalar(), SUP, 1.0, 0.5, 100_000, RandomStream(25))
+    log_p, se = cm_reweighted(Scalar(), SUP, 1.0, 0.5, 100_000, RandomStream(25))
     exact = math.log(gauss.cdf(1.5) - gauss.cdf(0.5))
-    assert abs(est.log_prob - exact) < 3.0 * est.stderr_log
-    assert est.method == "cm_reweighted"
+    assert abs(log_p - exact) < 3.0 * se
 
 
 def test_cm_reweighted_agrees_with_direct_mc_on_paths():
     model = WienerPath(n_steps=32)
     h = 0.6 * model.grid()
     direct = ball_prob_mc(model, SUP, 0.7, 100_000, RandomStream(26), center=h)
-    cm = shifted_ball_prob_cm(model, SUP, h, 0.7, 100_000, RandomStream(27))
-    assert abs(direct.log_prob - cm.log_prob) < 3.0 * math.hypot(
-        direct.stderr_log, cm.stderr_log
-    )
+    log_p, se = cm_reweighted(model, SUP, h, 0.7, 100_000, RandomStream(27))
+    assert abs(direct.log_prob - log_p) < 3.0 * math.hypot(direct.stderr_log, se)
 
 
 # -- ladders and splitting ---------------------------------------------------------

@@ -5,14 +5,7 @@ import pytest
 
 from smallball.errors import ConfigurationError, DomainError
 from smallball.models import WienerPath
-from smallball.norms import (
-    NormSpec,
-    check_self_similarity,
-    check_superadditivity,
-    eval_norm,
-    eval_norm_batch,
-    parse_norm,
-)
+from smallball.norms import NormSpec, eval_norm_batch, parse_norm
 from smallball.streams import RandomStream
 
 SUP = NormSpec("sup")
@@ -30,7 +23,7 @@ def brownian(n=512, seed=11):
 
 def test_sup_norm_exact_on_known_path():
     vals = np.array([0.0, -3.0, 2.0, 1.0, 0.5])
-    assert eval_norm(vals, SUP, dt=0.25) == 3.0
+    assert eval_norm_batch(vals[None], 0.25, SUP)[0] == 3.0
 
 
 def test_sup_norm_vector_valued_euclidean_reduction():
@@ -42,13 +35,13 @@ def test_sup_norm_vector_valued_euclidean_reduction():
 def test_lp_norm_of_the_constant_one():
     vals = np.ones(101)
     for p in (1.0, 2.0, 4.0):
-        assert eval_norm(vals, NormSpec("lp", p=p), dt=0.01) == pytest.approx(1.0)
+        assert eval_norm_batch(vals[None], 0.01, NormSpec("lp", p=p))[0] == pytest.approx(1.0)
 
 
 def test_lp_norm_of_identity_function():
     # ||t||_2 on [0,1] = 1/sqrt(3); the trapezoid of t^2 is exact up to O(dt^2)
     vals = np.linspace(0.0, 1.0, 2001)
-    got = eval_norm(vals, L2, dt=5e-4)
+    got = eval_norm_batch(vals[None], 5e-4, L2)[0]
     assert got == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-6)
 
 
@@ -56,29 +49,30 @@ def test_hoelder_norm_of_identity_function():
     # |t - s| / |t - s|^beta maximized at the full lag: (b-a)^(1-beta)
     vals = np.linspace(0.0, 2.0, 9)
     spec = NormSpec("hoelder", beta=0.25, interval=(0.0, 2.0))
-    assert eval_norm(vals, spec, dt=0.25) == pytest.approx(2.0 ** 0.75, rel=1e-12)
+    assert eval_norm_batch(vals[None], 0.25, spec)[0] == pytest.approx(2.0 ** 0.75, rel=1e-12)
 
 
 def test_hoelder_norm_single_spike():
     vals = np.zeros(9)
     vals[4] = 1.0
     # unit jump over one step of dt
-    assert eval_norm(vals, HOELDER, dt=0.125) == pytest.approx(0.125 ** -0.25, rel=1e-12)
+    got = eval_norm_batch(vals[None], 0.125, HOELDER)[0]
+    assert got == pytest.approx(0.125 ** -0.25, rel=1e-12)
 
 
 def test_interval_slicing_matches_manual_max():
     vals, dt = brownian(64)
     spec = NormSpec("sup", interval=(0.25, 0.75))
     ia, ib = 16, 48
-    assert eval_norm(vals, spec, dt=dt) == pytest.approx(float(np.abs(vals[ia:ib + 1]).max()))
+    assert eval_norm_batch(vals[None], dt, spec)[0] == pytest.approx(float(np.abs(vals[ia:ib + 1]).max()))
 
 
 def test_interval_must_align_with_grid():
     vals, dt = brownian(64)
     with pytest.raises(DomainError):
-        eval_norm(vals, NormSpec("sup", interval=(0.0, 0.73)), dt=dt)
+        eval_norm_batch(vals[None], dt, NormSpec("sup", interval=(0.0, 0.73)))[0]
     with pytest.raises(DomainError):
-        eval_norm(vals, NormSpec("sup", interval=(0.0, 2.0)), dt=dt)
+        eval_norm_batch(vals[None], dt, NormSpec("sup", interval=(0.0, 2.0)))[0]
 
 
 def test_degenerate_draws_use_sequence_semantics():
@@ -92,11 +86,6 @@ def test_degenerate_draws_use_sequence_semantics():
     assert np.allclose(eval_norm_batch(np.array([1.0, -2.0]), 0.0, SUP), [1.0, 2.0])
     with pytest.raises(DomainError):
         eval_norm_batch(vals, 0.0, HOELDER)
-
-
-def test_eval_norm_requires_dt_for_bare_arrays():
-    with pytest.raises(ConfigurationError):
-        eval_norm(np.zeros(5), SUP)
 
 
 # -- NormSpec validation and scaling metadata ------------------------------------
@@ -179,37 +168,33 @@ def test_scalar_sup_and_l2_match_the_modulus_forms_bit_for_bit(n):
 
 @pytest.mark.parametrize("spec", [SUP, L2, NormSpec("lp", p=4.0), HOELDER])
 def test_self_similarity_exact_at_doubling(spec):
-    # c=2 maps grid nodes to grid nodes, so the measured exponent is exact
+    # f(2t) on [0, 1/2], sampled at half the step, holds the nodes of f on
+    # [0, 1], so the measured exponent is exact
     vals, dt = brownian(512)
-    report = check_self_similarity(spec, vals, dt, c=2.0)
-    assert report.expected_exponent == spec.sim_exponent
-    assert report.residual < 1e-9
+    whole = eval_norm_batch(vals[None], dt, spec)[0]
+    half = NormSpec(spec.kind, spec.p, spec.beta, (0.0, 0.5))
+    rescaled = eval_norm_batch(vals[None], dt / 2.0, half)[0]
+    measured = math.log(rescaled / whole) / math.log(2.0)
+    assert abs(measured - spec.sim_exponent) * math.log(2.0) < 1e-9
 
 
-def test_self_similarity_validation():
-    vals, dt = brownian(64)
-    with pytest.raises(DomainError):
-        check_self_similarity(SUP, vals, dt, c=1.0)
-    with pytest.raises(DomainError):
-        check_self_similarity(SUP, np.zeros((2, 65)), dt, c=2.0)
+def _parts(vals, dt, spec, pts):
+    return [eval_norm_batch(vals[None], dt, NormSpec(spec.kind, spec.p, spec.beta, (a, b)))[0]
+            for a, b in zip(pts, pts[1:])]
 
 
 def test_superadditivity_lp_is_exactly_additive():
     vals, dt = brownian(512)
-    report = check_superadditivity(L2, vals, dt, breakpoints=(0.25, 0.625))
-    assert abs(report.slack) < 1e-9
-    assert report.aggregated == pytest.approx(report.whole, rel=1e-9)
+    whole = eval_norm_batch(vals[None], dt, L2)[0]
+    aggregated = float(np.sum(np.asarray(_parts(vals, dt, L2, (0.0, 0.25, 0.625, 1.0))) ** 2.0) ** 0.5)
+    assert abs(whole - aggregated) < 1e-9
+    assert aggregated == pytest.approx(whole, rel=1e-9)
 
 
 @pytest.mark.parametrize("spec", [SUP, HOELDER])
 def test_superadditivity_max_norms(spec):
     vals, dt = brownian(512)
-    report = check_superadditivity(spec, vals, dt, breakpoints=(0.5,))
-    assert report.slack >= -1e-12
-    assert report.whole >= max(report.parts) - 1e-12
-
-
-def test_superadditivity_rejects_bad_breakpoints():
-    vals, dt = brownian(64)
-    with pytest.raises(DomainError):
-        check_superadditivity(SUP, vals, dt, breakpoints=(0.75, 0.25))
+    whole = eval_norm_batch(vals[None], dt, spec)[0]
+    parts = _parts(vals, dt, spec, (0.0, 0.5, 1.0))
+    assert whole - max(parts) >= -1e-12
+    assert whole >= max(parts) - 1e-12

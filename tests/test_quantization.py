@@ -23,9 +23,8 @@ from smallball.quantization import (
     sample_nearest,
     target_size,
     verify_distortion_gauge_match,
-    verify_distortion_upper_bound,
 )
-from smallball.rsbf import GaugeCurve, VerifierConfig
+from smallball.rsbf import GaugeCurve
 from smallball.streams import RandomStream
 
 SUP = NormSpec("sup")
@@ -142,6 +141,32 @@ def test_screened_search_equals_full_scan(model_name, norm):
     assert want[3] == 0.0
     for chunk in (1, 7, 1024):
         assert np.array_equal(nearest_distance(test, book, model.dt, spec, chunk=chunk), want)
+
+
+@pytest.mark.parametrize("norm", ("lp:p=4", "hoelder:beta=0.25"))
+@pytest.mark.parametrize("scan_bytes", (1, 1000, 2**24))
+def test_unscreened_scan_in_capped_slices_equals_full_scan(norm, scan_bytes, monkeypatch):
+    # no screen prunes these norms, so every pair is evaluated; 1 byte makes
+    # one pair per slice, 1000 bytes seven pairs of 33 float32 nodes, with
+    # the last slice of each block partial
+    model = WienerPath(n_steps=32)
+    spec = parse_norm(norm)
+    book = book_of(model.sample_values(RandomStream(92).generator(), 60))
+    test = model.sample_values(RandomStream(93).generator(), 40)
+    sizes = []
+
+    def recording(values, dt, norm_spec):
+        sizes.append(values.nbytes)
+        return eval_norm_batch(values, dt, norm_spec)
+
+    monkeypatch.setattr(quantization, "SCAN_BLOCK_BYTES", scan_bytes)
+    monkeypatch.setattr(quantization, "eval_norm_batch", recording)
+    for chunk in (7, 1024):
+        sizes.clear()
+        got = nearest_distance(test, book, model.dt, spec, chunk=chunk)
+        assert np.array_equal(got, full_scan(test, book, model.dt, spec))
+        # the first evaluation is the starting guess, one codeword per draw
+        assert max(sizes[1:]) <= max(scan_bytes, 4 * 33)
 
 
 @pytest.mark.parametrize("norm", ("sup", "sup:a=0,b=0.5", "lp:p=2", "lp:p=2,a=0.25,b=0.75"))
@@ -394,24 +419,3 @@ def test_gauge_match_without_hypothesis_is_informational():
     assert report.rows_for("distortion-gauge-match")[0].passed is None
     with pytest.raises(ConfigurationError):
         verify_distortion_gauge_match([], lambda r: 1.0)
-
-
-def test_distortion_upper_bound_rows():
-    results = [qres(4.0, 1.5), qres(8.0, 5.0)]
-    report = verify_distortion_upper_bound(results, lambda r: 1.0)
-    rows = report.rows_for("distortion-upper")
-    assert rows[0].passed is True  # 1.5 <= 2.2
-    assert rows[1].passed is False  # 5.0 > 2.2
-    assert not report.passed
-    soft = verify_distortion_upper_bound(results, lambda r: 1.0, hypothesis_ok=False)
-    assert all(row.passed is None for row in soft.rows)
-    with pytest.raises(ConfigurationError):
-        verify_distortion_upper_bound([], lambda r: 1.0)
-
-
-def test_distortion_upper_bound_uses_half_rate():
-    # cap = (1 + slack) * 2 * inv(r/2): detectable with a rate-dependent inverse
-    report = verify_distortion_upper_bound(
-        [qres(8.0, 1.0)], lambda r: r, VerifierConfig(slack=0.25)
-    )
-    assert report.rows[0].threshold == pytest.approx(1.25 * 2.0 * 4.0)

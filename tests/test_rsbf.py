@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ from scipy import integrate
 from scipy.stats import kstest, norm as gauss
 
 from smallball.errors import ConfigurationError, DataError, DomainError, PowerWarning
-from smallball.estimators import ProbEstimate, SBFCurve, ball_prob_mc, sbf_analytic
+from smallball.estimators import (
+    ProbEstimate,
+    SBFCurve,
+    _scalar_ell_exact,
+    ball_prob_mc,
+    sbf_analytic,
+)
 from smallball.models import Scalar, WienerPath
 from smallball.norms import NormSpec
 from smallball.rsbf import (
@@ -26,7 +33,6 @@ from smallball.rsbf import (
     verify_enclosure,
     verify_enlarged_ball,
     verify_gauge_sandwich,
-    _scalar_ell_exact,
 )
 from smallball.streams import RandomStream
 from smallball.transfer import band_log_prob
@@ -166,6 +172,27 @@ def test_sample_rsbf_splitting_is_pinned(workers, monkeypatch):
     assert not any(s.ell_hat.bound for s in panel)
 
 
+# recorded before the replica fold: a center whose ensemble died in any
+# replica is a bound at its smallest replica value, (log_prob, stderr, bound)
+RSBF_DEAD_PINS = [
+    (-4.041100047703289, math.inf, True), (-13.61472642233258, math.inf, True),
+    (-5.139712336371398, math.inf, True), (-5.139712336371398, math.inf, True),
+    (-2.249340578475233, math.inf, True), (-2.249340578475233, math.inf, True),
+    (-3.517115769778611, 0.5063183041410069, False), (-8.675260157092708, 1.3784201826358213, False),
+    (-3.6733752675779705, math.inf, True), (-13.79864926049351, math.inf, True),
+    (-2.1439800628174073, math.inf, True), (-2.1439800628174073, math.inf, True),
+]
+
+
+def test_sample_rsbf_dead_centers_are_pinned():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PowerWarning)
+        panel = sample_rsbf(WienerPath(n_steps=16), NormSpec("lp", p=2.0), (0.3, 0.15), 6,
+                            RandomStream(2), n_per_level=16, n_moves=2)
+    assert [(s.ell_hat.log_prob, s.ell_hat.stderr_log, s.ell_hat.bound)
+            for s in panel] == RSBF_DEAD_PINS
+
+
 # recorded one radius after another: log_prob per (center, radius)
 RSBF_TRANSFER_PINS = [
     -5.785975319626565, -8.701125157930928, -14.223806244323336,
@@ -265,6 +292,46 @@ def test_gauge_stats_small_panel_warns():
         gauge_stats([])
 
 
+def censored_panel(costs, bound_ids, eps=0.5):
+    """One radius of a panel; the listed centers are zero-hit bounds."""
+    return [RSBFSample(i, eps, ProbEstimate(-c, math.inf, 1000, "mc", bound=True)
+                       if i in bound_ids else ProbEstimate(-c, 0.1, 1000, "mc"))
+            for i, c in enumerate(costs)]
+
+
+def test_gauge_censored_radius_has_no_average():
+    # the deepest of 8 centers is censored: every average is undefined, and
+    # every order statistic below it is exact
+    costs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PowerWarning)
+        gauge = gauge_stats(censored_panel(costs, {7}), stream=RandomStream(3), n_boot=50)
+        clean = gauge_stats(censored_panel(costs, set()), stream=RandomStream(3), n_boot=50)
+    for value in (gauge.mean[0], gauge.mean_se[0], gauge.stddev[0],
+                  gauge.moments[1][0], gauge.moments[2][0]):
+        assert math.isnan(value)
+    assert gauge.median == clean.median == (4.0,)
+    assert gauge.iqr == clean.iqr
+    assert gauge.rel_iqr == clean.rel_iqr
+    assert math.isfinite(clean.mean[0]) and math.isfinite(clean.stddev[0])
+
+
+def test_gauge_drops_quantiles_a_censored_cost_could_move():
+    # a censored cost of 2 may truly lie anywhere above 2, so the median and
+    # quartiles (ranks 2 to 6 of 8) are unknown, while rank 0 stays exact
+    costs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PowerWarning)
+        gauge = gauge_stats(censored_panel(costs, {1}), stream=RandomStream(3), n_boot=50)
+        top = gauge_stats(censored_panel(costs, {5, 6, 7}), stream=RandomStream(3), n_boot=50)
+    for value in (gauge.median[0], *gauge.median_ci[0], gauge.iqr[0], gauge.rel_iqr[0]):
+        assert math.isnan(value)
+    # three of eight censored at the top: the median (rank 3) stays, the
+    # upper quartile (rank 6) does not
+    assert top.median == (4.0,)
+    assert math.isnan(top.iqr[0])
+
+
 def test_scalar_law_against_inverted_cdf_oracle():
     # oracle CDF by inverting the exact monotone map |x| -> ell
     eps = 0.5
@@ -304,6 +371,27 @@ def test_enclosure_on_exact_scalar_panel():
         assert row.observed == 0.0
     fracs = [r.observed for r in report.rows_for("two-scale-upper")]
     assert all(0.0 <= f <= 1.0 for f in fracs)
+
+
+def test_enclosure_does_not_count_bound_rows_as_undercuts():
+    curve = scalar_curve((0.5, 0.25))
+    depth = curve.estimates[0].phi
+    # a bound only says the cost is at least its value
+    panel = censored_panel([depth + 1.0, 0.01, depth + 2.0], {1})
+    assert verify_enclosure(curve, panel, CFG).rows_for("lower-envelope")[0].passed
+    panel = censored_panel([depth + 1.0, 0.01, depth + 2.0], set())
+    assert not verify_enclosure(curve, panel, CFG).rows_for("lower-envelope")[0].passed
+
+
+def test_gauge_sandwich_is_informational_without_a_mean():
+    eps = 0.5
+    curve = scalar_curve((eps, eps / math.sqrt(2.0), eps / 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PowerWarning)
+        gauge = gauge_stats(censored_panel([1.0, 2.0, 9.0], {2}), stream=RandomStream(3),
+                            n_boot=20)
+    report = verify_gauge_sandwich(curve, gauge, CFG)
+    assert [r.passed for r in report.rows] == [None, None]
 
 
 def test_gauge_sandwich_on_exact_scalar_panel():
