@@ -48,12 +48,10 @@ from .estimators import (
 )
 from .models import (
     BrownianBridge,
-    CmShift,
     FiniteSpectrum,
     GaussianModel,
     Scalar,
     WienerPath,
-    cm_log_weight,
     parse_model,
     rkhs_norm,
 )
@@ -106,7 +104,7 @@ from .transfer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BrownianBridge", "CheckRow", "CmShift", "Codebook", "ConfigurationError",
+    "BrownianBridge", "CheckRow", "Codebook", "ConfigurationError",
     "ConstantEstimate", "CoverageRate", "DataError", "DiagnosticError",
     "DomainError", "FiniteSpectrum", "FlowShift", "FreeStartEstimate",
     "GaugeCurve", "GaussianModel", "InverseGauge", "LadderError", "NormSpec",
@@ -116,7 +114,7 @@ __all__ = [
     "VerifierConfig", "WienerPath", "abs_moment_norm", "ball_prob_mc",
     "ball_prob_splitting", "band_log_prob", "band_log_prob_extrapolated",
     "band_log_probs", "band_log_profile", "build_codebook", "certify_membership",
-    "check_doubling", "cm_log_weight", "constant_from_soft_rate",
+    "check_doubling", "constant_from_soft_rate",
     "coverage_event_rate", "dirichlet_eigenvalue", "dispersion_trend",
     "distortion", "estimate_constant", "eval_norm_batch",
     "exit_time_eigenvalue", "gauge_stats", "invert_gauge", "keyed_map",

@@ -55,6 +55,7 @@ from .rsbf import (
     check_doubling,
     dispersion_trend,
     gauge_stats,
+    growth_hypothesis,
     lipschitz_probe,
     mean_median_trend,
     sample_rsbf,
@@ -456,9 +457,8 @@ def cmd_quantize(cfg: ExperimentConfig, stream: RandomStream):
     if inverse is not None:
         usable = [res for res, row in zip(results, rows) if row.get("ratio") is not None]
         if len(usable) >= 2:
-            # regular variation of the depth holds for the path models here;
-            # the scalar route never gets this far (no matched-measure gauge)
-            rep = verify_distortion_gauge_match(usable, inverse, hypothesis_ok=True)
+            rep = verify_distortion_gauge_match(usable, inverse,
+                                                hypothesis_ok=growth_hypothesis(model))
             verdicts += report_rows(rep)
     tables = {"quantize": (columns, rows)}
     if gauge is not None:
@@ -501,9 +501,7 @@ def cmd_constants(cfg: ExperimentConfig, stream: RandomStream):
         rows.append(row)
         tables["constants_series"] = _series_tables(series, model, spec)
     if cfg.mode in ("eps_fit", "both"):
-        est = estimate_constant(model, spec, "eps_fit", stream.spawn(1),
-                                params={"n_centers": cfg.centers} |
-                                       ({"eps_grid": cfg.eps} if cfg.eps else {}))
+        est = estimate_constant(model, spec, stream.spawn(1), cfg.eps or None, cfg.centers)
         row = {"model": model.name, "norm": spec.describe(), "mode": "eps_fit",
                "gamma": est.gamma, "value": est.value, "stderr": est.stderr}
         if bracket:
@@ -545,9 +543,7 @@ def cmd_verify_all(cfg: ExperimentConfig, stream: RandomStream):
         dispersion_trend(panel, stream=stream.spawn(3)),
         mean_median_trend(panel, stream=stream.spawn(4)),
     ]
-    if not isinstance(model, Scalar):
-        # the scalar curve has unit doubling ratio; the lower bound on the
-        # ratio is a path-model claim and would fail there by design
+    if growth_hypothesis(model):
         reports.append(check_doubling(curve, "upper", vcfg))
     if route_table(model, spec).exact:
         e_mid = cfg.eps[len(cfg.eps) // 2]
@@ -605,23 +601,33 @@ def _load_table(directory: Path, name: str, fmt: str) -> list[dict]:
 
 
 def _fig_rows_gauge(tables: dict[str, list[dict]]) -> list[dict]:
+    """Centered points, bound rows as [phi, inf) in their own series, and
+    the gauge points of every radius whose gauge is not censored away."""
     out = []
     for row in tables.get("sbf", []):
-        se = row["stderr"] if math.isfinite(row["stderr"]) else 0.0
+        if row["bound"]:
+            out.append({"x": row["eps"], "y": row["phi"], "y_lo": row["phi"],
+                        "y_hi": math.inf, "series": "centered-bound"})
+            continue
+        se = row["stderr"]
         out.append({"x": row["eps"], "y": row["phi"], "y_lo": row["phi"] - se,
                     "y_hi": row["phi"] + se, "series": "centered"})
     for row in tables.get("rsbf_gauge", []):
-        out.append({"x": row["eps"], "y": row["mean"],
-                    "y_lo": row["mean"] - row["mean_se"],
-                    "y_hi": row["mean"] + row["mean_se"], "series": "gauge-mean"})
-        out.append({"x": row["eps"], "y": row["median"], "y_lo": row["median_lo"],
-                    "y_hi": row["median_hi"], "series": "gauge-median"})
+        if not math.isnan(row["mean"]):
+            out.append({"x": row["eps"], "y": row["mean"],
+                        "y_lo": row["mean"] - row["mean_se"],
+                        "y_hi": row["mean"] + row["mean_se"], "series": "gauge-mean"})
+        if not math.isnan(row["median"]):
+            out.append({"x": row["eps"], "y": row["median"], "y_lo": row["median_lo"],
+                        "y_hi": row["median_hi"], "series": "gauge-median"})
     return out
 
 
 def _fig_rows_scaled(tables: dict[str, list[dict]], gamma: float) -> list[dict]:
     out = []
     for row in tables.get("rsbf_gauge", []):
+        if math.isnan(row["mean"]):
+            continue
         scale = row["eps"] ** gamma
         out.append({"x": row["eps"], "y": scale * row["mean"],
                     "y_lo": scale * (row["mean"] - row["mean_se"]),

@@ -39,6 +39,10 @@ from .transfer import (
 
 # discrete monitoring pads the exit boundary by ~0.5826 sqrt(dt) per side
 BOUNDARY_SHIFT = 0.5825971579390107
+GOLDEN_ITERS = 40  # golden-section steps of a start-point search
+ESS_FLOOR = 30  # effective paths below which the soft functional warns
+EXIT_DT = 2e-3  # step of the exit-time walk
+EXIT_CHUNK = 50_000  # exit-time walks advanced at once
 
 
 @dataclass(frozen=True)
@@ -180,13 +184,13 @@ def _coarse_unimodal_scan(objective, lo: float, hi: float, n_scan: int, tol: flo
     return xs, vals, k
 
 
-def _golden_max(objective, lo: float, hi: float, iters: int = 40) -> tuple[float, float]:
+def _golden_max(objective, lo: float, hi: float) -> tuple[float, float]:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = objective(c), objective(d)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -256,10 +260,10 @@ def tilde_rsbf(
     return FreeStartEstimate(ProbEstimate(math.log(p), se, n_inner, "mc"), x_star)
 
 
-def unit_tube_cost(w: np.ndarray, dt: float, radius: float = 1.0) -> float:
-    """-log of the best-start probability of tracking w within the radius."""
+def unit_tube_cost(w: np.ndarray, dt: float) -> float:
+    """-log of the best-start probability of tracking w within radius 1."""
     w = np.asarray(w, dtype=float)
-    return -band_log_prob(w - radius, w + radius, dt, start=None)
+    return -band_log_prob(w - 1.0, w + 1.0, dt, start=None)
 
 
 def lambda_hard(
@@ -267,7 +271,6 @@ def lambda_hard(
     a_grid,
     n_centers: int,
     stream: RandomStream,
-    radius: float = 1.0,
 ) -> SubadditiveSeries:
     """Expectation series of the free-start unit-tube cost over horizons.
 
@@ -284,7 +287,7 @@ def lambda_hard(
 
     def horizon_costs(a: float) -> np.ndarray:
         w = paths[:, : round(a / dt) + 1]
-        return -band_log_probs(w - radius, w + radius, dt, start=None)
+        return -band_log_probs(w - 1.0, w + 1.0, dt, start=None)
 
     per_center: dict[float, tuple[float, ...]] = {}
     means, ses = [], []
@@ -333,7 +336,7 @@ def soft_cost_profile(resid: np.ndarray, p: float, dt: float):
 
 
 def soft_functional(
-    resid: np.ndarray, p: float, dt: float, ess_floor: int = 30
+    resid: np.ndarray, p: float, dt: float
 ) -> tuple[float, float, float]:
     """sup_x log mean_j exp(-S_j(x)) with its stderr and the maximizing x.
 
@@ -355,7 +358,7 @@ def soft_functional(
     x_star, val = _golden_max(logmean, lo, hi)
     u = np.exp(-(costs(x_star) - costs(x_star).min()))
     ess = float(u.sum() ** 2 / np.sum(u**2))
-    if ess < ess_floor:
+    if ess < ESS_FLOOR:
         warnings.warn(
             f"soft functional rests on ~{ess:.0f} effective paths", PowerWarning, stacklevel=2
         )
@@ -450,10 +453,7 @@ def exit_time_eigenvalue(
     d: int,
     stream: RandomStream,
     n_paths: int = 300_000,
-    dt: float = 2e-3,
     horizon: float | None = None,
-    window: tuple[float, float] | None = None,
-    chunk: int = 50_000,
 ) -> float:
     """Simulation cross-check of the eigenvalue: exponential decay rate of
     the survival probability of a walk started at the ball's center.
@@ -461,20 +461,21 @@ def exit_time_eigenvalue(
     Discrete monitoring effectively inflates the ball radius by about
     0.5826 sqrt(dt) per boundary, so the fitted rate is corrected by
     (1 + 0.5826 sqrt(dt))^2. The fit window is specified in survival mass;
-    the defaults sit late enough that the second mode has died off.
+    the windows of _EXIT_DEFAULTS sit late enough that the second mode has
+    died off.
     """
     if d not in _EXIT_DEFAULTS:
         raise DomainError(f"dimension {d} unsupported (needs 1, 2, or 3)")
-    h, win = _EXIT_DEFAULTS[d]
+    h, (lo, hi) = _EXIT_DEFAULTS[d]
     horizon = h if horizon is None else horizon
-    window = win if window is None else window
+    dt = EXIT_DT
     n_steps = round(horizon / dt)
     rng = stream.generator()
     sd = math.sqrt(dt)
     survivors = np.zeros(n_steps + 1, dtype=np.int64)
     done = 0
     while done < n_paths:
-        b = min(chunk, n_paths - done)
+        b = min(EXIT_CHUNK, n_paths - done)
         pos = np.zeros((b, d))
         alive = np.ones(b, dtype=bool)
         survivors[0] += b
@@ -490,7 +491,6 @@ def exit_time_eigenvalue(
         done += b
     s = survivors / n_paths
     t = dt * np.arange(n_steps + 1)
-    lo, hi = window
     mask = (s >= lo) & (s <= hi) & (t > 0)
     if mask.sum() < 5:
         raise DomainError("survival window too narrow; extend the horizon or add paths")
@@ -531,7 +531,6 @@ def subadditive_constant(
 class ConstantEstimate:
     value: float
     stderr: float
-    mode: str
     gamma: float
     details: dict
 
@@ -539,52 +538,24 @@ class ConstantEstimate:
 def estimate_constant(
     model: GaussianModel,
     norm_spec: NormSpec,
-    mode: str,
     stream: RandomStream,
-    params: dict | None = None,
+    eps_grid: tuple[float, ...] | None = None,
+    n_centers: int = 64,
 ) -> ConstantEstimate:
-    """Limiting constant of the random-center ball cost.
+    """Limiting constant of the random-center ball cost by the radius fit.
 
-    mode="eps_fit": regress the panel-mean cost against eps^-gamma with an
-    intercept over a small geometric radius grid placed where the centered
-    depth spans roughly [5, 20]; the slope is the constant. Centers are
+    Regresses the panel-mean cost against eps^-gamma with an intercept over
+    a small geometric radius grid (by default placed where the centered
+    depth spans roughly [5, 20]); the slope is the constant. Centers are
     priced by the bias-extrapolated band sweep (1-d sup norm only), one
-    radius per pool task.
-
-    mode="subadditive": delegate to the horizon series (hard for the sup
-    norm, soft for integral norms) and convert rates as needed.
-
-    params may pin eps_grid / a_grid / n_centers / gamma; a gamma that
-    contradicts the norm's scaling raises rather than silently fitting the
-    wrong power.
+    radius per pool task. The horizon route is ``subadditive_constant``.
     """
-    params = dict(params or {})
     gamma = norm_spec.gamma
-    if "gamma" in params and not math.isclose(params["gamma"], gamma, rel_tol=1e-9):
-        raise ConfigurationError(
-            f"requested gamma {params['gamma']:g} contradicts the norm's scaling {gamma:g}"
-        )
-    if mode == "subadditive":
-        default_grid = (2.0, 4.0, 6.0, 8.0, 12.0, 16.0) if norm_spec.kind == "sup" \
-            else (1.0, 2.0, 4.0, 6.0, 8.0)
-        value, se, series = subadditive_constant(
-            model, norm_spec, params.get("a_grid", default_grid),
-            int(params.get("n_centers", 48)), stream, int(params.get("n_inner", 8192)))
-        details = {"a_grid": series.a_grid, "ratios": tuple(series.ratios())}
-        if series.kind == "hard":
-            details["tail_ratio"] = series.ratios()[-1]
-        else:
-            details |= {"K": series.rate_constant(), "q": norm_spec.soft_q}
-        return ConstantEstimate(value, se, mode, gamma, details)
-    if mode != "eps_fit":
-        raise ConfigurationError(f"unknown mode {mode!r}")
     require_route(model, norm_spec, "transfer", "shifted")
-    eps_grid = params.get("eps_grid")
     if eps_grid is None:
         # place the grid where the centered depth runs ~[5, 20]
         k0 = dirichlet_eigenvalue(1)
         eps_grid = tuple(np.geomspace(math.sqrt(k0 / 5.0), math.sqrt(k0 / 20.0), 4))
-    n_centers = int(params.get("n_centers", 64))
     centers = model.sample_values(stream.spawn(0).generator(), n_centers)
 
     def radius_costs(eps: float) -> np.ndarray:
@@ -597,7 +568,7 @@ def estimate_constant(
     x = np.array([e ** (-gamma) for e in eps_grid])
     slope, intercept, slope_se, resid = _wls_line(x, np.array(means), np.array(ses))
     return ConstantEstimate(
-        slope, slope_se, mode, gamma,
+        slope, slope_se, gamma,
         {"eps_grid": tuple(float(e) for e in eps_grid), "means": tuple(means),
          "intercept": intercept, "residual": resid},
     )

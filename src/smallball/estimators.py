@@ -36,6 +36,11 @@ from .transfer import CELLS_PER_STEP_SD, band_log_prob, band_log_probs, transfer
 
 METHODS = ("analytic", "mc", "splitting")
 ROUTES = ("analytic", "transfer", "mc", "splitting")
+MC_BLOCK_BYTES = 2**24  # float64 draws held at once by plain Monte Carlo
+RHO = 0.95  # pCN correlation of a splitting move
+N_MOVES = 10  # pCN moves per level of a centered or single-ball ladder
+DELTA_PHI = 1.1  # ladder step in the pilot's negative-log-mass scale
+GRID_BIAS_RATE = 0.5  # leading order of the sup-norm grid bias, n^-1/2
 
 
 @dataclass(frozen=True)
@@ -90,17 +95,6 @@ class SBFCurve:
     @property
     def stderr(self) -> np.ndarray:
         return np.array([e.stderr_log for e in self.estimates])
-
-    def monotone_violations(self, k_sigma: float = 3.0) -> int:
-        """Count adjacent pairs where phi decreases by more than noise allows."""
-        phi = self.phi
-        se = self.stderr
-        bad = 0
-        for i in range(len(phi) - 1):
-            slack = k_sigma * math.hypot(se[i], se[i + 1])
-            if phi[i + 1] < phi[i] - slack:
-                bad += 1
-        return bad
 
 
 # -- which route prices which ball ------------------------------------------------
@@ -352,19 +346,23 @@ def ball_prob_mc(
     n_samples: int,
     stream: RandomStream,
     center=None,
-    batch: int = 200_000,
 ) -> ProbEstimate:
-    """Plain MC estimate of log mu(B(center, eps))."""
+    """Plain MC estimate of log mu(B(center, eps)).
+
+    Draws come in blocks of about MC_BLOCK_BYTES of float64 values; the
+    stream is read in row order, so the hit count does not depend on the
+    block size."""
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
     rng = stream.generator()
     c = 0.0 if center is None else np.asarray(center, dtype=float)
+    block = max(1, MC_BLOCK_BYTES // (8 * math.prod(model.value_shape)))
     hits = 0
     done = 0
     while done < n_samples:
-        k = min(batch, n_samples - done)
+        k = min(block, n_samples - done)
         x = model.sample_values(rng, k)
         d = eval_norm_batch(x - c, model.dt, norm_spec)
         hits += int((d <= eps).sum())
@@ -400,7 +398,7 @@ def make_ladder(
     pilot,
     eps_start: float,
     anchors: tuple[float, ...],
-    delta_phi: float = 1.1,
+    delta_phi: float = DELTA_PHI,
 ) -> list[float]:
     """Decreasing radius ladder from eps_start through every anchor.
 
@@ -443,7 +441,6 @@ def _splitting_pass(
     levels: list[float],
     n_per_level: int,
     rng: np.random.Generator,
-    rho: float,
     n_moves: int,
     batch_shape: tuple[int, ...],
     record_at: dict[float, int],
@@ -456,13 +453,13 @@ def _splitting_pass(
     Returns (recorded log-probs (B, n_anchors), variances, dead mask, diag).
 
     The replica allocates its arrays once: every move draws into the same
-    fresh-path buffer, builds the proposal rho X + s F in place and copies
+    fresh-path buffer, builds the proposal RHO X + s F in place and copies
     the accepted rows back. Each value is rounded as with fresh arrays, so
     the results do not depend on the buffering.
     """
     B = batch_shape[0]
     N = n_per_level
-    s = math.sqrt(1.0 - rho * rho)
+    s = math.sqrt(1.0 - RHO * RHO)
 
     # level 0: plain MC entry
     X0 = model.sample_values(rng, B * N)
@@ -541,7 +538,7 @@ def _splitting_pass(
         alive = ~dead
         for _ in range(n_moves):
             draw_fresh()
-            np.multiply(X, rho, out=P)
+            np.multiply(X, RHO, out=P)
             F *= s
             P += F
             dp = distances(P)
@@ -578,7 +575,6 @@ def _replica_estimates(
     n_per_level: int,
     stream: RandomStream,
     keys: range,
-    rho: float,
     n_moves: int,
     strict: bool,
 ) -> tuple[list[list[ProbEstimate]], SplittingDiagnostics]:
@@ -590,8 +586,8 @@ def _replica_estimates(
     n_centers = 1 if np.ndim(centers) == 0 else len(centers)
     record = {e: j for j, e in enumerate(eps_grid)}
     passes = keyed_map(lambda r: _splitting_pass(
-        model, norm_spec, centers, levels, n_per_level, stream.spawn(r).generator(), rho,
-        n_moves, (n_centers, n_per_level), record, strict,
+        model, norm_spec, centers, levels, n_per_level, stream.spawn(r).generator(), n_moves,
+        (n_centers, n_per_level), record, strict,
     ), keys)
     logs = np.array([rec_log for rec_log, _, _, _ in passes])
     vars_ = np.array([rec_var for _, rec_var, _, _ in passes])
@@ -620,8 +616,6 @@ def ball_prob_splitting(
     n_per_level: int,
     stream: RandomStream,
     center=None,
-    rho: float = 0.95,
-    n_moves: int = 10,
     n_replicas: int = 2,
 ) -> tuple[ProbEstimate, SplittingDiagnostics]:
     """Multilevel splitting estimate of log mu(B(center, eps)).
@@ -636,14 +630,12 @@ def ball_prob_splitting(
         raise ConfigurationError("levels must end exactly at eps")
     if any(levels[i + 1] >= levels[i] for i in range(len(levels) - 1)):
         raise ConfigurationError("levels must be strictly decreasing")
-    if not (0.0 < rho < 1.0):
-        raise ConfigurationError("rho must be in (0, 1)")
     if n_replicas < 1:
         raise ConfigurationError("n_replicas must be >= 1")
     c = 0.0 if center is None else np.asarray(center, dtype=float)
     cb = c[None, ...] if np.ndim(c) > 0 else c
     ests, diag = _replica_estimates(model, norm_spec, cb, list(levels), (levels[-1],),
-                                    n_per_level, stream, range(n_replicas), rho, n_moves,
+                                    n_per_level, stream, range(n_replicas), N_MOVES,
                                     strict=True)
     return ests[0][0], diag
 
@@ -654,28 +646,21 @@ def sbf_curve(
     eps_grid: tuple[float, ...],
     stream: RandomStream,
     n_per_level: int = 512,
-    eps_start: float | None = None,
-    pilot=None,
-    delta_phi: float = 1.1,
-    rho: float = 0.95,
-    n_moves: int = 10,
     n_replicas: int = 3,
 ) -> tuple[SBFCurve, SplittingDiagnostics]:
     """Centered small-ball curve over a decreasing grid via one shared ladder.
 
     Grid radii are anchors of the ladder, so a single descent records the
-    whole curve per replica (estimates across radii share randomness).
+    whole curve per replica (estimates across radii share randomness). The
+    ladder starts where the pilot curve is shallow and steps DELTA_PHI.
     """
     eps_grid = tuple(float(e) for e in eps_grid)
     if any(eps_grid[i + 1] >= eps_grid[i] for i in range(len(eps_grid) - 1)):
         raise ConfigurationError("eps_grid must be strictly decreasing")
-    if pilot is None:
-        pilot = pilot_curve(model, norm_spec, stream.spawn(10_001))
-    if eps_start is None:
-        eps_start = _default_start(pilot, eps_grid[0])
-    levels = make_ladder(pilot, eps_start, eps_grid, delta_phi)
+    pilot = pilot_curve(model, norm_spec, stream.spawn(10_001))
+    levels = make_ladder(pilot, _default_start(pilot, eps_grid[0]), eps_grid)
     ests, diag = _replica_estimates(model, norm_spec, 0.0, levels, eps_grid, n_per_level,
-                                    stream, range(n_replicas), rho, n_moves, strict=True)
+                                    stream, range(n_replicas), N_MOVES, strict=True)
     return SBFCurve(eps_grid, tuple(ests[0]), model.name, norm_spec.describe()), diag
 
 
@@ -713,24 +698,23 @@ class RichardsonFit:
     value: float
     stderr: float
     coef: float
-    rate: float
     residual: float
 
 
 def richardson_extrapolate(
-    values: np.ndarray, stderrs: np.ndarray, ns: np.ndarray, rate: float = 0.5
+    values: np.ndarray, stderrs: np.ndarray, ns: np.ndarray
 ) -> RichardsonFit:
-    """Weighted LS fit of y(n) = y_inf - c n^{-rate}; returns y_inf with its
-    propagated standard error. Used to strip the sup-norm grid bias, whose
-    leading order is n^{-1/2} (discrete monitoring misses excursions of size
-    ~ sqrt(dt))."""
+    """Weighted LS fit of y(n) = y_inf - c n^{-GRID_BIAS_RATE}; returns y_inf
+    with its propagated standard error. Used to strip the sup-norm grid
+    bias, whose leading order is n^{-1/2} (discrete monitoring misses
+    excursions of size ~ sqrt(dt))."""
     values = np.asarray(values, dtype=float)
     stderrs = np.asarray(stderrs, dtype=float)
     ns = np.asarray(ns, dtype=float)
     if len(values) < 2:
         raise ConfigurationError("need at least two grid resolutions")
     w = 1.0 / np.maximum(stderrs, 1e-12) ** 2
-    A = np.stack([np.ones_like(ns), -(ns**-rate)], axis=1)
+    A = np.stack([np.ones_like(ns), -(ns**-GRID_BIAS_RATE)], axis=1)
     WA = A * w[:, None]
     cov = np.linalg.inv(A.T @ WA)
     coef = cov @ (WA.T @ values)
@@ -740,6 +724,5 @@ def richardson_extrapolate(
         value=float(coef[0]),
         stderr=float(math.sqrt(cov[0, 0])),
         coef=float(coef[1]),
-        rate=rate,
         residual=resid,
     )

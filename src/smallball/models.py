@@ -1,4 +1,4 @@
-"""Centered Gaussian sample models and their Cameron-Martin geometry.
+"""Centered Gaussian sample models and their Cameron-Martin norms.
 
 Four model families share one interface:
 
@@ -9,10 +9,8 @@ Four model families share one interface:
 * ``BrownianBridge(n)``      - Brownian bridge on [0, 1] built by conditioning
   the endpoint (W_t - t W_1, exact for the grid marginals).
 
-Each model can draw batches, compute the Cameron-Martin (RKHS) norm of a
-shift defined on its grid, and evaluate the shift's linear functional on a
-sample, which together give the density ratio of the shifted measure
-(``cm_log_weight``): log d(mu shifted by h)/d(mu) at y equals z_h(y) - |h|^2/2.
+Each model can draw batches and compute the Cameron-Martin (RKHS) norm of
+a shift defined on its grid.
 """
 from __future__ import annotations
 
@@ -22,13 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, ShapeError
-
-
-@dataclass(frozen=True)
-class CmShift:
-    """A candidate Cameron-Martin shift given by its values on the model grid."""
-
-    values: np.ndarray
 
 
 class GaussianModel:
@@ -61,13 +52,8 @@ class GaussianModel:
         """Squared Cameron-Martin norm; +inf means 'not in the shift space'."""
         raise NotImplementedError
 
-    def paley_wiener(self, h: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        """z_h evaluated on a batch of samples; Var z_h = |h|^2."""
-        raise NotImplementedError
-
     def _as_shift(self, shift) -> np.ndarray:
-        h = shift.values if isinstance(shift, CmShift) else np.asarray(shift, dtype=float)
-        return np.atleast_1d(np.asarray(h, dtype=float))
+        return np.atleast_1d(np.asarray(shift, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -98,11 +84,6 @@ class Scalar(GaussianModel):
     def rkhs_norm_sq(self, h):
         c = self._scalar_shift(h)
         return (c / self.sigma) ** 2
-
-    def paley_wiener(self, h, samples):
-        c = self._scalar_shift(h)
-        y = np.asarray(samples, dtype=float)
-        return c * y / self.sigma**2
 
 
 @dataclass(frozen=True)
@@ -144,16 +125,6 @@ class FiniteSpectrum(GaussianModel):
         lam = np.asarray(self.lambdas[: h.size])
         return float(np.sum(h * h / lam))
 
-    def paley_wiener(self, h, samples):
-        h = self._aligned(h)
-        if h.size > self.k:
-            if np.any(h[self.k :] != 0):
-                raise DomainError("shift is not in the Cameron-Martin space of this spectrum")
-            h = h[: self.k]
-        y = np.asarray(samples, dtype=float)
-        lam = np.asarray(self.lambdas[: h.size])
-        return y[..., : h.size] @ (h / lam)
-
 
 class _GridModel(GaussianModel):
     """Common machinery for path models on a uniform grid including t=0."""
@@ -182,15 +153,6 @@ class _GridModel(GaussianModel):
     def _energy(self, h: np.ndarray) -> float:
         inc = np.diff(h, axis=0)
         return float(np.sum(inc * inc) / self.dt)
-
-    def _increment_functional(self, h: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        dh = np.diff(h, axis=0)
-        # the node axis is last for scalar-valued paths and next-to-last for
-        # vector-valued ones, batched or not
-        dy = np.diff(samples, axis=-1 if h.ndim == 1 else -2)
-        if h.ndim == 1:
-            return dy @ (dh / self.dt)
-        return np.einsum("...td,td->...", dy, dh) / self.dt
 
 
 @dataclass(frozen=True)
@@ -228,9 +190,6 @@ class WienerPath(_GridModel):
     def rkhs_norm_sq(self, h):
         return self._energy(self._path_shift(h))
 
-    def paley_wiener(self, h, samples):
-        return self._increment_functional(self._path_shift(h), np.asarray(samples, dtype=float))
-
 
 @dataclass(frozen=True)
 class BrownianBridge(_GridModel):
@@ -253,10 +212,6 @@ class BrownianBridge(_GridModel):
     def rkhs_norm_sq(self, h):
         return self._energy(self._path_shift(h, pin_end=True))
 
-    def paley_wiener(self, h, samples):
-        h = self._path_shift(h, pin_end=True)
-        return self._increment_functional(h, np.asarray(samples, dtype=float))
-
 
 # -- free-function front ends ------------------------------------------------
 
@@ -265,14 +220,6 @@ def rkhs_norm(model: GaussianModel, shift) -> float:
     """Cameron-Martin norm |h|; +inf when h is not in the shift space."""
     sq = model.rkhs_norm_sq(shift)
     return math.sqrt(sq) if math.isfinite(sq) else math.inf
-
-
-def cm_log_weight(model: GaussianModel, shift, samples: np.ndarray) -> np.ndarray:
-    """log of d(mu shifted by h)/d(mu) at each sample: z_h(y) - |h|^2/2."""
-    nsq = model.rkhs_norm_sq(shift)
-    if not math.isfinite(nsq):
-        raise DomainError("shift is not in the Cameron-Martin space")
-    return model.paley_wiener(shift, samples) - 0.5 * nsq
 
 
 def parse_model(text: str) -> GaussianModel:

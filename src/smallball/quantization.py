@@ -283,10 +283,6 @@ class InverseGauge:
         out = np.exp(np.interp(np.log(arr), np.log(self.knots_r), np.log(self.knots_eps)))
         return float(out) if np.isscalar(r) else out
 
-    @property
-    def r_range(self) -> tuple[float, float]:
-        return self.knots_r[0], self.knots_r[-1]
-
 
 def invert_gauge(curve: GaugeCurve | SBFCurve, which: str = "mean") -> InverseGauge:
     """Monotone inverse of a gauge or centered curve.

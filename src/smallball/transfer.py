@@ -25,6 +25,7 @@ KERNEL_REACH = 8.0  # step-kernel truncation, in units of sqrt(dt)
 CELLS_PER_STEP_SD = 8  # default spatial resolution: dx = sqrt(dt)/8
 TILE = 64  # most output cells per block of the banded step operator
 WEIGHT_CELLS = 2**15  # cell weights computed at once, over as many nodes as fit
+REFINE = 4  # step-size ratio of the two sweeps a bias-corrected probability combines
 
 
 def transfer_applies(model: GaussianModel, norm_spec: NormSpec) -> bool:
@@ -209,23 +210,20 @@ def band_log_prob_extrapolated(
     band_hi,
     dt: float,
     start: float | None = 0.0,
-    refine: int = 4,
     dx: float | None = None,
 ) -> float | np.ndarray:
     """Monitoring-bias-corrected band probability.
 
     The discretely monitored tube overstates the staying probability with a
-    leading error c*sqrt(dt); combining step sizes dt and dt/refine as
-    (sqrt(refine)*fine - coarse) / (sqrt(refine) - 1) cancels it. One band
+    leading error c*sqrt(dt); combining step sizes dt and dt/REFINE as
+    (sqrt(REFINE)*fine - coarse) / (sqrt(REFINE) - 1) cancels it. One band
     (1-d arrays) gives a float; a (B, N) batch gives one value per row,
     from one coarse and one fine sweep.
     """
-    if refine < 2:
-        raise ConfigurationError("refine must be >= 2 for extrapolation")
     lo = np.atleast_2d(np.asarray(band_lo, dtype=float))
     hi = np.atleast_2d(np.asarray(band_hi, dtype=float))
     coarse = band_log_probs(lo, hi, dt, start, dx)
-    fine = band_log_probs(refine_nodes(lo, refine), refine_nodes(hi, refine), dt / refine, start, dx)
-    r = math.sqrt(refine)
+    fine = band_log_probs(refine_nodes(lo, REFINE), refine_nodes(hi, REFINE), dt / REFINE, start, dx)
+    r = math.sqrt(REFINE)
     out = (r * fine - coarse) / (r - 1.0)
     return float(out[0]) if np.ndim(band_lo) == 1 else out

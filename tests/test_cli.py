@@ -396,6 +396,37 @@ def test_plotdata_from_rsbf_run(tmp_path):
         assert len(lines) > 1
 
 
+def test_plotdata_gives_bound_rows_their_own_open_series(tmp_path):
+    # no hit at eps 1e-4: the cost is only known to be at least phi
+    out = tmp_path / "b"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PowerWarning)
+        assert cli.main(["sbf", "--model", "scalar", "--eps", "1,0.0001", "--estimator", "mc",
+                         "--samples", "100", "--seed", "1", "--out", str(out)]) == 0
+    cli.cmd_plotdata(str(out), None)
+    rows = [line.split(",") for line in check_fig(out / "fig_gauge_vs_eps.csv")[1:]]
+    assert [r[4] for r in rows] == ["centered", "centered-bound"]
+    x, y, lo, hi, _ = rows[1]
+    assert float(x) == 1e-4 and lo == y and hi == "inf"
+    assert float(rows[0][2]) < float(rows[0][1]) < float(rows[0][3])
+
+
+def test_plotdata_skips_censored_gauge_points(tmp_path):
+    # every center is a zero-hit bound at eps 0.05, none at eps 0.5
+    out = tmp_path / "c"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PowerWarning)
+        assert cli.main(["rsbf", "--model", "wiener:n=16", "--norm", "sup:a=0,b=0.5",
+                         "--eps", "0.5,0.05", "--centers", "4", "--estimator", "mc",
+                         "--samples", "1000", "--seed", "1", "--out", str(out)]) == 0
+    figs = cli.cmd_plotdata(str(out), None)
+    assert {p.name for p in figs} == {"fig_gauge_vs_eps.csv", "fig_scaled_gauge_vs_eps.csv"}
+    for p in figs:
+        rows = [line.split(",") for line in check_fig(p)[1:]]
+        assert rows and all(float(r[0]) == 0.5 for r in rows)
+        assert "nan" not in p.read_text()
+
+
 def test_plotdata_from_constants_run(tmp_path):
     code, out, _ = run_cfg(tmp_path, "c", experiment="constants", model="wiener:n=32",
                            seed="19", a_grid="1,2", centers="4")
@@ -458,6 +489,33 @@ def test_eps_for_depth_starts_at_the_first_finite_radius():
         assert depth(eps) == pytest.approx(target, rel=1e-9)
         assert all(math.isfinite(d) for _, d in calls)
         assert sum(e >= 5.0 for e, _ in calls) <= 1
+
+
+def test_distortion_match_needs_the_growth_hypothesis(tmp_path):
+    # the scalar depth grows like log(1/eps), outside the claim's hypothesis;
+    # the Brownian sup depth grows like eps^-2 and is decided
+    passed = {}
+    for model in ("scalar", "wiener:n=32"):
+        code, out, _ = run_cfg(tmp_path, model.split(":")[0], experiment="quantize",
+                               model=model, seed="3", r_grid="1,2")
+        assert code in (0, 3)
+        manifest = json.loads((out / "manifest.json").read_text())
+        passed[model] = [v["passed"] for v in manifest["verdicts"]
+                         if v["claim"] == "distortion-gauge-match"]
+    assert passed["scalar"] == [None]
+    assert passed["wiener:n=32"] in ([True], [False])
+
+
+def test_verify_all_runs_on_a_grid_with_fewer_steps_than_knots(tmp_path):
+    # the membership certificate takes one knot per step below 32 steps
+    out = tmp_path / "v"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PowerWarning)
+        code = cli.main(["verify-all", "--model", "wiener:n=16", "--samples", "2000",
+                         "--seed", "1", "--out", str(out)])
+    assert code in (0, 3)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert any(v["claim"] == "log-lipschitz" for v in manifest["verdicts"])
 
 
 def test_plotdata_from_quantize_run(tmp_path):

@@ -17,6 +17,7 @@ from smallball.constants import (
     lambda_soft,
     soft_cost_profile,
     soft_functional,
+    subadditive_constant,
     tilde_rsbf,
     unit_tube_cost,
 )
@@ -303,24 +304,14 @@ def test_exit_time_validation():
 
 
 def test_estimate_constant_validation():
-    model = WienerPath(n_steps=64)
     with pytest.raises(ConfigurationError):
-        estimate_constant(model, SUP, "eps_fit", RandomStream(0), {"gamma": 3.0})
-    with pytest.raises(ConfigurationError):
-        estimate_constant(model, SUP, "newton", RandomStream(0))
-    with pytest.raises(ConfigurationError):
-        estimate_constant(model, L4, "eps_fit", RandomStream(0))
-    with pytest.raises(ConfigurationError):
-        estimate_constant(model, NormSpec("hoelder", beta=0.25), "subadditive", RandomStream(0))
+        estimate_constant(WienerPath(n_steps=64), L4, RandomStream(0))
 
 
 def test_estimate_constant_eps_fit_small():
     model = WienerPath(n_steps=96)
-    est = estimate_constant(
-        model, SUP, "eps_fit", RandomStream(102),
-        {"eps_grid": (0.55, 0.45), "n_centers": 6},
-    )
-    assert est.mode == "eps_fit" and est.gamma == 2.0
+    est = estimate_constant(model, SUP, RandomStream(102), (0.55, 0.45), 6)
+    assert est.gamma == 2.0
     assert 0.5 < est.value < 15.0
     assert est.details["eps_grid"] == (0.55, 0.45)
     assert math.isfinite(est.details["intercept"])
@@ -330,32 +321,27 @@ def test_estimate_constant_eps_fit_small():
 def test_estimate_constant_eps_fit_is_pinned(workers, monkeypatch):
     # recorded one radius after another, on the default four-radius grid
     monkeypatch.setenv("SMALLBALL_WORKERS", workers)
-    est = estimate_constant(WienerPath(n_steps=64), SUP, "eps_fit", RandomStream(105),
-                            {"n_centers": 6})
+    est = estimate_constant(WienerPath(n_steps=64), SUP, RandomStream(105), n_centers=6)
     assert (est.value, est.stderr) == (1.6947565541806129, 0.10973236097696788)
     assert est.details["means"] == (8.94337229286473, 13.446865952182792,
                                     19.96973272385573, 29.307416855345938)
 
 
-def test_estimate_constant_subadditive_hard_small():
+def test_subadditive_constant_hard_small():
     model = WienerPath(n_steps=32)
-    est = estimate_constant(
-        model, SUP, "subadditive", RandomStream(103),
-        {"a_grid": (1.0, 2.0, 4.0), "n_centers": 6},
-    )
-    assert est.mode == "subadditive" and est.gamma == 2.0
-    assert 1.0 < est.value < 5.0
-    assert est.details["tail_ratio"] > 0.0
+    value, _, series = subadditive_constant(model, SUP, (1.0, 2.0, 4.0), 6, RandomStream(103))
+    assert series.kind == "hard" and value == series.rate_constant()
+    assert 1.0 < value < 5.0
+    assert series.ratios()[-1] > 0.0
 
 
-def test_estimate_constant_subadditive_soft_small():
+def test_subadditive_constant_soft_small():
     model = WienerPath(n_steps=64)
-    est = estimate_constant(
-        model, L4, "subadditive", RandomStream(104),
-        {"a_grid": (1.0, 2.0), "n_centers": 3, "n_inner": 500},
-    )
-    assert est.details["q"] == 3.0
-    assert est.details["K"] > 0.0
-    assert est.value == pytest.approx(
-        constant_from_soft_rate(est.details["K"], 3.0), rel=1e-12
-    )
+    value, _, series = subadditive_constant(model, L4, (1.0, 2.0), 3, RandomStream(104),
+                                            n_inner=500)
+    assert L4.soft_q == 3.0
+    assert series.rate_constant() > 0.0
+    assert value == pytest.approx(constant_from_soft_rate(series.rate_constant(), 3.0),
+                                  rel=1e-12)
+    with pytest.raises(ConfigurationError):
+        subadditive_constant(model, NormSpec("hoelder", beta=0.25), (1.0,), 2, RandomStream(0))

@@ -6,11 +6,9 @@ import pytest
 from smallball.errors import ConfigurationError, DomainError, ShapeError
 from smallball.models import (
     BrownianBridge,
-    CmShift,
     FiniteSpectrum,
     Scalar,
     WienerPath,
-    cm_log_weight,
     parse_model,
     rkhs_norm,
 )
@@ -93,7 +91,6 @@ def test_rkhs_norm_linear_path():
     h = c * model.grid()
     # a straight line of slope c on [0, 1] has energy c^2
     assert rkhs_norm(model, h) == pytest.approx(abs(c))
-    assert rkhs_norm(model, CmShift(h)) == pytest.approx(abs(c))
 
 
 def test_path_shift_validation():
@@ -106,39 +103,6 @@ def test_path_shift_validation():
     ramp = np.linspace(0.0, 1.0, 9)
     with pytest.raises(DomainError):
         bridge.rkhs_norm_sq(ramp)  # does not end at 0
-
-
-def test_paley_wiener_scalar_exact():
-    model = Scalar(sigma=2.0)
-    y = np.array([1.0, -3.0])
-    out = model.paley_wiener(np.array([0.5]), y)
-    assert np.allclose(out, 0.5 * y / 4.0)
-
-
-def test_paley_wiener_moments():
-    # z_h is centered with variance |h|^2 under the base measure
-    model = WienerPath(n_steps=64)
-    h = 0.8 * model.grid()
-    x = model.sample_values(RandomStream(6).generator(), 40_000)
-    z = model.paley_wiener(h, x)
-    nsq = model.rkhs_norm_sq(h)
-    assert abs(float(z.mean())) < 3.0 * math.sqrt(nsq / 40_000)
-    assert abs(float(z.var()) - nsq) < 0.05 * nsq
-
-
-def test_cm_weight_is_a_density():
-    model = WienerPath(n_steps=64)
-    h = 0.8 * model.grid()
-    x = model.sample_values(RandomStream(7).generator(), 40_000)
-    w = np.exp(cm_log_weight(model, h, x))
-    se = float(w.std(ddof=1)) / math.sqrt(len(w))
-    assert abs(float(w.mean()) - 1.0) < 3.0 * se
-
-
-def test_cm_log_weight_rejects_off_space_shifts():
-    model = FiniteSpectrum(lambdas=(1.0,))
-    with pytest.raises(DomainError):
-        cm_log_weight(model, np.array([0.0, 1.0]), np.zeros((4, 1)))
 
 
 def test_parse_model_round_trips():

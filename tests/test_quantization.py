@@ -330,7 +330,7 @@ def test_invert_gauge_knot_round_trip():
     inv = invert_gauge(curve)
     for e in curve.eps_grid:
         assert inv(1.0 / e**2) == pytest.approx(e, rel=1e-12)
-    assert inv.r_range == (1.0, 16.0)
+    assert (inv.knots_r[0], inv.knots_r[-1]) == (1.0, 16.0)
 
 
 def test_invert_gauge_interior_exact_for_power_law():
@@ -385,7 +385,7 @@ def test_invert_gauge_isotonic_projection_smooths_noise():
         ProbEstimate(-4.0, 0.05, 1000, "mc"),
     )
     inv = invert_gauge(SBFCurve(grid, ests, "x", "sup"))
-    lo, hi = inv.r_range
+    lo, hi = inv.knots_r[0], inv.knots_r[-1]
     assert lo == pytest.approx(0.99)  # equal weights pool to the plain mean
     assert inv(lo) == pytest.approx(math.sqrt(0.9), rel=1e-12)
     assert inv(hi) == pytest.approx(0.5, rel=1e-12)

@@ -275,13 +275,12 @@ def test_gauge_moments_respect_deterministic_bound():
         priced.append(e)
         return scalar_phi(e)
 
-    gauge = gauge_stats(panel, moment_p=(1, 2), centered=centered,
-                        stream=RandomStream(57), n_boot=50)
+    gauge = gauge_stats(panel, centered=centered, stream=RandomStream(57), n_boot=50)
     assert priced == [0.1, 0.05]  # each half radius priced once, for every order
     for p in (1, 2):
         for got, cap in zip(gauge.moments[p], gauge.moment_bounds[p]):
             assert got <= cap
-    assert gauge.trend_violations() == 0
+    assert gauge.mean[1] > gauge.mean[0] and gauge.median[1] > gauge.median[0]
 
 
 def test_gauge_stats_small_panel_warns():
@@ -381,6 +380,22 @@ def test_enclosure_does_not_count_bound_rows_as_undercuts():
     assert verify_enclosure(curve, panel, CFG).rows_for("lower-envelope")[0].passed
     panel = censored_panel([depth + 1.0, 0.01, depth + 2.0], set())
     assert not verify_enclosure(curve, panel, CFG).rows_for("lower-envelope")[0].passed
+
+
+def test_enclosure_leaves_bound_rows_under_the_cap_undecided():
+    # a bound row under the two-scale cap may cost more than the cap, so
+    # its radius has no fraction and the trend row touching it decides
+    # nothing; a bound row above the cap is above it for sure
+    curve = scalar_curve((1.0, 0.5, 0.25))
+    cap = (1.0 + CFG.slack) * 2.0 * scalar_phi(0.25)
+    wide = censored_panel([0.5, 0.6, 0.7], set(), eps=1.0)
+    report = verify_enclosure(curve, wide + censored_panel([1.0, 1.9, 1.4], {1}), CFG)
+    fracs = [r.observed for r in report.rows_for("two-scale-upper")]
+    assert fracs[0] == 1.0 and math.isnan(fracs[1])
+    assert [r.passed for r in report.rows_for("two-scale-upper-trend")] == [None]
+    report = verify_enclosure(curve, wide + censored_panel([1.0, cap + 1.0, 1.4], {1}), CFG)
+    assert [r.observed for r in report.rows_for("two-scale-upper")] == [1.0, 2.0 / 3.0]
+    assert report.rows_for("two-scale-upper-trend")[0].passed is True
 
 
 def test_gauge_sandwich_is_informational_without_a_mean():

@@ -123,11 +123,9 @@ def test_extrapolation_cancels_monitoring_bias():
     theta = sbf_analytic(model, SUP, 0.5).phi
     lo, hi = centered_band(0.5, 256)
     coarse = -band_log_prob(lo, hi, model.dt, start=0.0)
-    extrap = -band_log_prob_extrapolated(lo, hi, model.dt, start=0.0, refine=4)
+    extrap = -band_log_prob_extrapolated(lo, hi, model.dt, start=0.0)
     assert abs(extrap - theta) < 0.06
     assert abs(extrap - theta) < 0.2 * abs(coarse - theta)
-    with pytest.raises(ConfigurationError):
-        band_log_prob_extrapolated(lo, hi, model.dt, refine=1)
 
 
 def test_band_validation():
