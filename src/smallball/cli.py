@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import (
     SubadditiveSeries,
@@ -324,6 +323,58 @@ def _resolve_model(cfg: ExperimentConfig) -> GaussianModel:
     return model
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of f on the bracket [xa, xb] by Brent's method (Brent 1973,
+    ch. 4), step for step the C routine behind scipy's brentq, so both
+    return the same float. Raises ValueError when f is NaN or the ends
+    do not bracket a sign change, RuntimeError after 100 steps."""
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x:.17g} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            a, b = abs(spre), 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (a if a < b else b):  # a good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur:g}")
+
+
 def _eps_for_depth(depth_fn, target: float, lo: float = 1e-8, hi: float = 50.0) -> float:
     """Invert a decreasing depth(eps) on [lo, hi] by Brent's method in
     v = eps**-2 to 1e-14 relative. A small-ball depth grows like c / eps**2,
@@ -331,8 +382,8 @@ def _eps_for_depth(depth_fn, target: float, lo: float = 1e-8, hi: float = 50.0) 
     the flat wide end where depth is about 0 and every band sweep is widest.
     """
     try:
-        v = brentq(lambda v: depth_fn(v**-0.5) - target, hi**-2, lo**-2,
-                   xtol=1e-300, rtol=1e-14)
+        v = _brentq(lambda v: depth_fn(v**-0.5) - target, hi**-2, lo**-2,
+                    xtol=1e-300, rtol=1e-14)
     except ValueError:  # the ends do not bracket the target
         raise RangeError(
             f"depth {target:g} outside [{depth_fn(hi):g}, {depth_fn(lo):g}]") from None

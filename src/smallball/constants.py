@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import comb, jn_zeros
 
 from .errors import ConfigurationError, DiagnosticError, DomainError, PowerWarning
 from .estimators import ProbEstimate, ball_prob_mc, require_route
@@ -39,6 +38,7 @@ from .transfer import (
 
 # discrete monitoring pads the exit boundary by ~0.5826 sqrt(dt) per side
 BOUNDARY_SHIFT = 0.5825971579390107
+J0_FIRST_ZERO = 2.4048255576957724  # first positive zero of the Bessel function J0
 GOLDEN_ITERS = 40  # golden-section steps of a start-point search
 ESS_FLOOR = 30  # effective paths below which the soft functional warns
 EXIT_DT = 2e-3  # step of the exit-time walk
@@ -319,7 +319,7 @@ def soft_cost_profile(resid: np.ndarray, p: float, dt: float):
     if even:
         ip = round(p)
         moments = [np.trapezoid(resid**k, dx=dt, axis=1) for k in range(ip + 1)]
-        coef = [comb(ip, k, exact=True) for k in range(ip + 1)]
+        coef = [math.comb(ip, k) for k in range(ip + 1)]
 
         def costs(x: float) -> np.ndarray:
             acc = np.zeros(resid.shape[0])
@@ -435,7 +435,7 @@ def dirichlet_eigenvalue(d: int) -> float:
     if d == 1:
         return math.pi**2 / 8.0
     if d == 2:
-        return float(jn_zeros(0, 1)[0]) ** 2 / 2.0
+        return J0_FIRST_ZERO**2 / 2.0
     if d == 3:
         return math.pi**2 / 2.0
     raise DomainError(f"dimension {d} unsupported (needs 1, 2, or 3)")

@@ -26,17 +26,18 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+import scipy
 
 from .errors import ConfigurationError, DomainError, LadderError, PowerWarning
 from .models import BrownianBridge, GaussianModel, Scalar, WienerPath
 from .norms import NormSpec, eval_norm_batch
-from .streams import RandomStream, keyed_map
+from .streams import RandomStream, keyed_map, worker_count
 from .transfer import CELLS_PER_STEP_SD, band_log_prob, band_log_probs, transfer_applies
 
 METHODS = ("analytic", "mc", "splitting")
 ROUTES = ("analytic", "transfer", "mc", "splitting")
 MC_BLOCK_BYTES = 2**24  # float64 draws held at once by plain Monte Carlo
+MEMORY_BUDGET = 512 * 2**20  # bytes a codebook or the live splitting replicas may hold
 RHO = 0.95  # pCN correlation of a splitting move
 N_MOVES = 10  # pCN moves per level of a centered or single-ball ladder
 DELTA_PHI = 1.1  # ladder step in the pilot's negative-log-mass scale
@@ -187,8 +188,8 @@ def _scalar_ell_exact(x: np.ndarray, eps: float) -> np.ndarray:
     # -log(Phi(x+eps) - Phi(x-eps)); the mass is even in x, and reflecting to
     # x <= 0 keeps both logcdf calls in the accurate left tail at any depth
     y = -np.abs(np.asarray(x, dtype=float))
-    a = log_ndtr(y + eps)
-    b = log_ndtr(y - eps)
+    a = scipy.special.log_ndtr(y + eps)
+    b = scipy.special.log_ndtr(y - eps)
     return -(a + np.log1p(-np.exp(b - a)))
 
 
@@ -275,6 +276,7 @@ def _log_sup_ball_centered(eps_eff: float) -> float:
                 break
             k += 1
         return math.log(4 / math.pi) + lead + math.log(acc)
+    ndtr = scipy.special.ndtr
     total = 0.0
     k = 0
     while True:
@@ -325,7 +327,7 @@ def sbf_analytic(model: GaussianModel, norm_spec: NormSpec, eps: float) -> ProbE
     if family == "scalar":
         # log(2 Phi(eps/sigma) - 1), written to stay accurate for large eps
         z = eps / model.sigma
-        lp = float(np.log1p(-2.0 * ndtr(-z)))
+        lp = float(np.log1p(-2.0 * scipy.special.ndtr(-z)))
         return ProbEstimate(min(lp, 0.0), 0.0, 0, "analytic")
     if family == "wiener-sup":
         return ProbEstimate(
@@ -582,8 +584,21 @@ def _replica_estimates(
     pool, and fold the replicas into (estimates[center][radius], last
     replica's diagnostics): the replica mean with the larger of the
     delta-method error and the replica spread, or, for a center that died
-    in any replica, a bound at its smallest replica value."""
+    in any replica, a bound at its smallest replica value.
+
+    Refuses, before any draw, a run whose live replicas would hold more
+    than MEMORY_BUDGET bytes of float64 buffers: X, F, P and, around
+    nonzero centers, the offsets, each (centers, n_per_level, nodes), once
+    per replica the pool runs at a time."""
     n_centers = 1 if np.ndim(centers) == 0 else len(centers)
+    n_buffers = 3 if np.ndim(centers) == 0 and centers == 0 else 4
+    n_live = min(worker_count(), len(keys))
+    need = 8 * n_buffers * n_centers * n_per_level * math.prod(model.value_shape) * n_live
+    if need > MEMORY_BUDGET:
+        raise ConfigurationError(
+            f"splitting needs {need / 2**20:.0f} MiB of float64 buffers for {n_live} "
+            f"replica(s) at once, over the {MEMORY_BUDGET / 2**20:.0f} MiB budget; "
+            "use fewer centers or a coarser grid")
     record = {e: j for j, e in enumerate(eps_grid)}
     passes = keyed_map(lambda r: _splitting_pass(
         model, norm_spec, centers, levels, n_per_level, stream.spawn(r).generator(), n_moves,

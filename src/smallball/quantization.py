@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 from .errors import ConfigurationError, DataError, DomainError, RangeError
-from .estimators import SBFCurve
+from .estimators import MEMORY_BUDGET, SBFCurve
 from .models import GaussianModel, WienerPath
 from .norms import NormSpec, distance_lower_bound, eval_norm_batch
 from .rsbf import CheckRow, GaugeCurve, Report, VerifierConfig
@@ -79,7 +78,7 @@ def build_codebook(
     model: GaussianModel,
     r: float,
     stream: RandomStream,
-    memory_budget: int = 512 * 2**20,
+    memory_budget: int = MEMORY_BUDGET,
 ) -> Codebook:
     """Draw the floor(e^r) codewords for rate r, stored in float32, the
     precision ``nearest_distance`` reads.
@@ -159,7 +158,7 @@ def sample_nearest(
     n_test: int,
     stream: RandomStream,
     codebook: Codebook | None = None,
-    memory_budget: int = 512 * 2**20,
+    memory_budget: int = MEMORY_BUDGET,
 ) -> np.ndarray:
     """Nearest-codeword distances for n_test fresh draws at rate r.
 
@@ -284,6 +283,46 @@ class InverseGauge:
         return float(out) if np.isscalar(r) else out
 
 
+def _pava_blocks(x: np.ndarray, w: np.ndarray) -> list[tuple[float, int, int]]:
+    """Weighted increasing isotonic regression of x as (value, start, stop)
+    blocks, values strictly increasing. The pool adjacent violators
+    algorithm of Busing (J. Stat. Softw. 102, 2022, algorithm 1), with
+    pooling on ties, step for step as scipy's isotonic_regression, so each
+    value is the float that routine gives."""
+    x, w = [float(v) for v in x], [float(v) for v in w]
+    n = len(x)
+    if n == 0:
+        return []
+    stop = [0] * (n + 1)
+    stop[1] = 1
+    b = 0
+    xb_prev, wb_prev = x[0], w[0]
+    i = 1
+    while i < n:
+        b += 1
+        xb, wb = x[i], w[i]
+        if xb_prev >= xb:  # a down violation: pool with the previous block
+            b -= 1
+            sb = wb_prev * xb_prev + wb * xb
+            wb += wb_prev
+            xb = sb / wb
+            while i < n - 1 and xb >= x[i + 1]:  # absorb up violations ahead
+                i += 1
+                sb += w[i] * x[i]
+                wb += w[i]
+                xb = sb / wb
+            while b > 0 and x[b - 1] >= xb:  # and down violations behind
+                b -= 1
+                sb += w[b] * x[b]
+                wb += w[b]
+                xb = sb / wb
+        x[b] = xb_prev = xb
+        w[b] = wb_prev = wb
+        stop[b + 1] = i + 1
+        i += 1
+    return [(x[k], stop[k], stop[k + 1]) for k in range(b + 1)]
+
+
 def invert_gauge(curve: GaugeCurve | SBFCurve, which: str = "mean") -> InverseGauge:
     """Monotone inverse of a gauge or centered curve.
 
@@ -311,19 +350,12 @@ def invert_gauge(curve: GaugeCurve | SBFCurve, which: str = "mean") -> InverseGa
     eps, vals, w = eps[kept], vals[kept], w[kept]
     if np.any(vals <= 0):
         raise DataError("depth values must be positive for log-log inversion")
-    # grid is stored radius-decreasing = depth-increasing; pooled entries
-    # come out of PAVA exactly equal, so blocks split on float equality
-    proj = isotonic_regression(vals, weights=w, increasing=True).x
+    # grid is stored radius-decreasing = depth-increasing
     knots_r: list[float] = []
     knots_e: list[float] = []
-    j = 0
-    while j < len(proj):
-        k = j
-        while k + 1 < len(proj) and proj[k + 1] == proj[j]:
-            k += 1
-        knots_r.append(float(proj[j]))
-        knots_e.append(float(np.exp(np.average(np.log(eps[j : k + 1]), weights=w[j : k + 1]))))
-        j = k + 1
+    for value, j, k in _pava_blocks(vals, w):
+        knots_r.append(value)
+        knots_e.append(float(np.exp(np.average(np.log(eps[j:k]), weights=w[j:k]))))
     if len(knots_r) < 2:
         raise DataError("depth curve is flat; nothing to invert")
     return InverseGauge(tuple(knots_r), tuple(knots_e))

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri
+import scipy
 
 from .errors import ConfigurationError, DataError, DomainError, PowerWarning
 from .estimators import (
@@ -35,11 +35,11 @@ from .estimators import (
     route_table,
     sbf_analytic,
 )
-from .models import GaussianModel, Scalar, rkhs_norm
+from .models import FiniteSpectrum, GaussianModel, Scalar, rkhs_norm
 from .norms import NormSpec, eval_norm_batch
 from .streams import RandomStream, keyed_map
 
-GATE_LOG_LEVEL = -math.log(ndtr(-3.0))  # ~ 6.6077, the probe's depth gate
+GATE_LOG_LEVEL = 6.60772622151035  # -log Phi(-3), the probe's depth gate
 SHALLOW_DEPTH_FLOOR = 0.1  # nats; doubling pairs with a shallower wide ball are ignored
 PANEL_DELTA_PHI = 1.0  # ladder step of a center panel, in nats of the pilot curve
 MOMENT_ORDERS = (1, 2)  # the panel L^p norms a gauge reports
@@ -136,13 +136,15 @@ class GaugeCurve:
     moment_bounds: dict[int, tuple[float, ...]] = field(default_factory=dict)
 
 
-def abs_moment_norm(q: float) -> float:
-    """L^q norm of a standard normal: (E|Z|^q)^(1/q), exact via the
-    half-integer Gamma formula."""
-    if q <= 0:
-        raise DomainError(f"moment order must be positive, got {q}")
-    log_m = (q / 2) * math.log(2.0) + gammaln((q + 1) / 2) - 0.5 * math.log(math.pi)
-    return math.exp(log_m / q)
+def abs_moment_norm(q: int) -> float:
+    """L^q norm of a standard normal for a positive integer order:
+    (E|Z|^q)^(1/q), with E|Z|^q = (q-1)!!, times sqrt(2/pi) for odd q."""
+    if not (q > 0 and float(q).is_integer()):
+        raise DomainError(f"moment order must be a positive integer, got {q}")
+    m = float(math.prod(range(int(q) - 1, 0, -2)))
+    if q % 2:
+        m *= math.sqrt(2.0 / math.pi)
+    return m ** (1.0 / q)
 
 
 def moment_upper_bound(phi_half: float, p: int) -> float:
@@ -389,9 +391,10 @@ def verify_gauge_sandwich(sbf: SBFCurve, gauge: GaugeCurve, cfg: VerifierConfig)
 def growth_hypothesis(model: GaussianModel) -> bool:
     """Whether the two-scale growth hypothesis of the doubling-upper and
     distortion-gauge-match claims is made for the model: the path models'
-    depth grows like a power of 1/eps, the scalar depth like log(1/eps),
-    with doubling ratios near 1."""
-    return not isinstance(model, Scalar)
+    depth grows like a power of 1/eps; the scalar depth grows like
+    log(1/eps) and a k-coordinate spectrum's like k log(1/eps), with
+    doubling ratios near 1."""
+    return not isinstance(model, (Scalar, FiniteSpectrum))
 
 
 def check_doubling(sbf: SBFCurve, which: str, cfg: VerifierConfig) -> Report:
@@ -610,8 +613,8 @@ def shift_inequality_check(
     if kind == "halfspace":
         if not isinstance(model, Scalar):
             raise ConfigurationError("half-space sets are scalar-model only")
-        mu_a = ndtr(param / model.sigma)
-        mu_ah = ndtr((param + float(np.asarray(shift))) / model.sigma)
+        mu_a = scipy.special.ndtr(param / model.sigma)
+        mu_ah = scipy.special.ndtr((param + float(np.asarray(shift))) / model.sigma)
         se = 0.0
     elif kind == "ball":
         if norm_spec is None:
@@ -632,8 +635,8 @@ def shift_inequality_check(
         se = math.hypot(se_a, se_h)
     else:
         raise ConfigurationError("kind must be 'ball' or 'halfspace'")
-    base = ndtri(mu_a)
-    lo, hi = ndtr(base - hn), ndtr(base + hn)
+    base = scipy.special.ndtri(mu_a)
+    lo, hi = scipy.special.ndtr(base - hn), scipy.special.ndtr(base + hn)
     tol = cfg.k_sigma * se + 1e-12
     rows = (
         CheckRow("shift-lower", mu_ah >= lo - tol, mu_ah, lo, f"|h|={hn:g}"),
@@ -661,7 +664,7 @@ def verify_enlarged_ball(
     if isinstance(model, Scalar):
         phi = sbf_analytic(model, norm_spec, eps).phi
         m = 3.0 * math.sqrt(phi)
-        out_mass = 2.0 * ndtr(-(eps + m * model.sigma) / model.sigma)
+        out_mass = 2.0 * scipy.special.ndtr(-(eps + m * model.sigma) / model.sigma)
         row = CheckRow("enlarged-ball", out_mass <= math.exp(-phi), out_mass,
                        math.exp(-phi), f"eps={eps:g}, exact interval arithmetic")
         return Report("enlarged-ball", (row,))

@@ -1,6 +1,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -10,8 +13,8 @@ import pytest
 
 from smallball import cli
 from smallball.errors import ConfigurationError, DataError, PowerWarning, RangeError
-from smallball.estimators import centered_depth, depth_floor
-from smallball.models import Scalar, WienerPath
+from smallball.estimators import centered_depth, depth_floor, sbf_analytic
+from smallball.models import BrownianBridge, Scalar, WienerPath
 from smallball.norms import parse_norm
 from smallball.streams import keyed_map
 
@@ -491,6 +494,93 @@ def test_eps_for_depth_starts_at_the_first_finite_radius():
         assert sum(e >= 5.0 for e, _ in calls) <= 1
 
 
+def _inversions(depth_fn, targets, lo=1e-8):
+    """What _eps_for_depth hands to the root finder, for each target."""
+    return [(lambda v, t=t: depth_fn(v**-0.5) - t, 50.0**-2, lo**-2) for t in targets]
+
+
+def test_brentq_port_equals_scipy_on_the_depths_it_inverts():
+    from scipy.optimize import brentq  # the reference the port follows step for step
+
+    wiener = WienerPath(n_steps=256)
+    sup = parse_norm("sup")
+    cases = (_inversions(centered_depth(wiener, sup), (0.5, 2.0, 9.8, 30.0),
+                         depth_floor(wiener, sup))
+             + _inversions(centered_depth(Scalar(), sup), (0.1, 1.0, 5.0))
+             + _inversions(lambda e: sbf_analytic(BrownianBridge(n_steps=64), sup, e).phi,
+                           (0.5, 4.0, 20.0)))
+    for f, a, b in cases:
+        got = cli._brentq(f, a, b, xtol=1e-300, rtol=1e-14)
+        assert type(got) is float
+        assert got == brentq(f, a, b, xtol=1e-300, rtol=1e-14)
+
+
+def test_brentq_port_equals_scipy_on_random_monotone_functions():
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(2024)
+    for _ in range(3000):
+        a, b = np.sort(rng.uniform(-5.0, 5.0, 2))
+        root, power, wiggle = rng.uniform(a - 0.5, b + 0.5), rng.uniform(0.2, 5.0), rng.normal()
+        xtol = float(rng.choice([1e-300, 2e-12, 1e-6]))
+        rtol = float(rng.choice([1e-14, 4 * np.finfo(float).eps, 1e-8]))
+
+        def f(x):
+            return math.copysign(abs(x - root) ** power, x - root) + 0.01 * wiggle * math.tanh(x)
+
+        try:
+            want = brentq(f, a, b, xtol=xtol, rtol=rtol)
+        except ValueError as exc:  # no sign change: the port refuses alike
+            with pytest.raises(ValueError, match="different signs"):
+                cli._brentq(f, a, b, xtol=xtol, rtol=rtol)
+            assert "different signs" in str(exc)
+            continue
+        assert cli._brentq(f, a, b, xtol=xtol, rtol=rtol) == want
+
+
+def test_brentq_port_errors():
+    with pytest.raises(ValueError, match="NaN"):
+        cli._brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12, 1e-14)
+    with pytest.raises(ValueError, match="different signs"):
+        cli._brentq(lambda x: x + 2.0, 0.0, 1.0, 1e-12, 1e-14)
+    # a root at 0 under an absolute tolerance of 1e-300 takes about 1,000 halvings
+    with pytest.raises(RuntimeError, match="after 100 iterations"):
+        cli._brentq(lambda x: math.copysign(abs(x) ** 0.1, x), -1.0, 3.0, 1e-300, 1e-14)
+    depth = centered_depth(Scalar(), parse_norm("sup"))
+    with pytest.raises(RangeError, match="outside"):  # the ends do not bracket the target
+        cli._eps_for_depth(depth, 1e4)
+
+
+def test_cold_import_loads_neither_scipy_optimize_nor_scipy_special(tmp_path):
+    # the sup quantize run inverts its depth curve and pools the gauge
+    # inverse without either module; a scalar sbf run loads scipy.special
+    # on first use and writes the frozen value of test_sbf_scalar_end_to_end
+    script = (
+        "import json, sys\n"
+        "import smallball.cli as cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code] + [m in sys.modules for m in "
+        "('scipy.optimize', 'scipy.special')]))\n"
+    )
+    runs = {
+        "quantize": ["quantize", "--model", "wiener:n=64", "--norm", "sup",
+                     "--r-grid", "2,4", "--seed", "3"],
+        "sbf": ["sbf", "--model", "scalar", "--eps", "1.0,0.5", "--seed", "7"],
+    }
+    loaded = {}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        proc = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(out)],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+        loaded[name] = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["quantize"][1:] == [False, False]
+    assert loaded["quantize"][0] in (0, 3)
+    assert loaded["sbf"] == [0, False, True]
+    first = (tmp_path / "sbf" / "sbf.csv").read_text().splitlines()[1]
+    assert float(first.split(",")[3]) == pytest.approx(0.38171514630212616, rel=1e-15)
+
+
 def test_distortion_match_needs_the_growth_hypothesis(tmp_path):
     # the scalar depth grows like log(1/eps), outside the claim's hypothesis;
     # the Brownian sup depth grows like eps^-2 and is decided
@@ -516,6 +606,33 @@ def test_verify_all_runs_on_a_grid_with_fewer_steps_than_knots(tmp_path):
     assert code in (0, 3)
     manifest = json.loads((out / "manifest.json").read_text())
     assert any(v["claim"] == "log-lipschitz" for v in manifest["verdicts"])
+
+
+def test_verify_all_skips_doubling_upper_on_a_finite_spectrum(tmp_path):
+    # a k-coordinate depth grows like k log(1/eps): its doubling ratios sit
+    # near 1, and the two-scale upper claim is not made for it
+    out = tmp_path / "f"
+    code = cli.main(["verify-all", "--model", "finite:lambdas=1/0.5/0.25", "--seed", "3",
+                     "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    claims = {v["claim"] for v in manifest["verdicts"]}
+    assert "doubling-lower" in claims
+    assert "doubling-upper" not in claims
+    assert code == 0
+
+
+def test_splitting_refuses_replicas_over_the_memory_budget(tmp_path, capsys):
+    # 64 centers of wiener:n=1024 hold 769 MiB of buffers per live replica
+    code = cli.main(["rsbf", "--model", "wiener:n=1024", "--norm", "lp:p=2",
+                     "--estimator", "splitting", "--centers", "64", "--eps", "0.3",
+                     "--seed", "1", "--out", str(tmp_path / "m")])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["kind"] == "config"
+    assert "MiB budget" in error["message"]
+    assert not (tmp_path / "m" / "manifest.json").exists()
 
 
 def test_plotdata_from_quantize_run(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import jn_zeros
 
 from smallball.constants import (
+    J0_FIRST_ZERO,
     FlowShift,
     SubadditiveSeries,
     _coarse_unimodal_scan,
@@ -283,6 +284,8 @@ def test_dirichlet_eigenvalues_frozen():
     assert dirichlet_eigenvalue(3) == pytest.approx(DIRICHLET_3D, rel=1e-15)
     assert dirichlet_eigenvalue(1) == pytest.approx(math.pi**2 / 8.0)
     assert dirichlet_eigenvalue(2) == pytest.approx(float(jn_zeros(0, 1)[0]) ** 2 / 2.0)
+    assert dirichlet_eigenvalue(2) == float(jn_zeros(0, 1)[0]) ** 2 / 2.0
+    assert J0_FIRST_ZERO == float(jn_zeros(0, 1)[0])
     with pytest.raises(DomainError):
         dirichlet_eigenvalue(4)
 

@@ -336,6 +336,17 @@ def test_splitting_validation():
         ball_prob_splitting(Scalar(), SUP, 0.5, [1.0, 0.5], 64, RandomStream(0), n_replicas=0)
 
 
+def test_splitting_checks_its_buffers_against_the_memory_budget(monkeypatch):
+    # 10^5 paths of wiener:n=4096 would take 9.2 GiB of buffers per replica;
+    # the refusal comes before the first draw
+    model = WienerPath(n_steps=4096)
+    monkeypatch.setattr(WienerPath, "sample_values", lambda *a, **k: pytest.fail("drew"))
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SMALLBALL_WORKERS", workers)
+        with pytest.raises(ConfigurationError, match=f"for {workers} replica"):
+            ball_prob_splitting(model, SUP, 0.5, [1.0, 0.5], 100_000, RandomStream(0))
+
+
 def test_splitting_dies_loudly_on_hopeless_levels():
     with pytest.raises(LadderError):
         ball_prob_splitting(Scalar(), SUP, 1e-9, [1.0, 1e-9], 64, RandomStream(32))

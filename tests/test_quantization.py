@@ -18,6 +18,7 @@ from smallball.quantization import (
     build_codebook,
     coverage_event_rate,
     distortion,
+    _pava_blocks,
     invert_gauge,
     nearest_distance,
     sample_nearest,
@@ -389,6 +390,30 @@ def test_invert_gauge_isotonic_projection_smooths_noise():
     assert lo == pytest.approx(0.99)  # equal weights pool to the plain mean
     assert inv(lo) == pytest.approx(math.sqrt(0.9), rel=1e-12)
     assert inv(hi) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_pava_blocks_equal_scipy_isotonic_regression():
+    from scipy.optimize import isotonic_regression  # the reference the port follows
+
+    rng = np.random.default_rng(17)
+    for trial in range(4000):
+        n = 1 + trial % 12
+        kind = trial % 4
+        if kind == 0:
+            x = rng.normal(size=n)
+        elif kind == 1:  # ties
+            x = rng.integers(0, 4, size=n).astype(float)
+        elif kind == 2:  # runs of equal values
+            x = np.repeat(rng.normal(size=n), rng.integers(1, 4, size=n))[:n]
+        else:
+            x = np.round(rng.normal(size=n), 1)
+        w = np.ones(n) if trial % 2 else rng.uniform(0.1, 5.0, size=n)
+        want = isotonic_regression(x, weights=w, increasing=True)
+        blocks = _pava_blocks(x, w)
+        assert [(j, k) for _, j, k in blocks] == list(zip(want.blocks[:-1], want.blocks[1:]))
+        assert [v for v, _, _ in blocks] == [want.x[j] for j in want.blocks[:-1]]
+        assert all(a[0] < b[0] for a, b in zip(blocks, blocks[1:]))
+    assert _pava_blocks(np.array([]), np.array([])) == []
 
 
 # -- verifier reports ---------------------------------------------------------

@@ -14,7 +14,7 @@ from smallball.estimators import (
     ball_prob_mc,
     sbf_analytic,
 )
-from smallball.models import Scalar, WienerPath
+from smallball.models import BrownianBridge, FiniteSpectrum, Scalar, WienerPath
 from smallball.norms import NormSpec
 from smallball.rsbf import (
     GATE_LOG_LEVEL,
@@ -25,6 +25,7 @@ from smallball.rsbf import (
     check_doubling,
     dispersion_trend,
     gauge_stats,
+    growth_hypothesis,
     lipschitz_probe,
     mean_median_trend,
     moment_upper_bound,
@@ -102,6 +103,27 @@ def test_moment_upper_bound_formula():
 
 def test_gate_level_value():
     assert GATE_LOG_LEVEL == pytest.approx(-math.log(gauss.cdf(-3.0)), rel=1e-12)
+
+
+def test_closed_forms_equal_the_scipy_special_expressions_they_replace():
+    from scipy.special import gammaln, ndtr
+
+    assert GATE_LOG_LEVEL == -math.log(ndtr(-3.0))
+    for q in range(1, 8):
+        log_m = (q / 2) * math.log(2.0) + gammaln((q + 1) / 2) - 0.5 * math.log(math.pi)
+        assert abs_moment_norm(q) == math.exp(log_m / q)
+        assert abs_moment_norm(float(q)) == abs_moment_norm(q)
+    for q in (2.5, -2, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            abs_moment_norm(q)
+
+
+def test_growth_hypothesis_is_made_for_path_models_only():
+    # depths growing like a power of 1/eps; the scalar and a k-coordinate
+    # spectrum grow like log(1/eps) and k log(1/eps)
+    assert growth_hypothesis(WienerPath(16)) and growth_hypothesis(BrownianBridge(16))
+    assert not growth_hypothesis(Scalar())
+    assert not growth_hypothesis(FiniteSpectrum((1.0, 0.5, 0.25)))
 
 
 def test_rsbf_sample_validation():
