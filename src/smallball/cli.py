@@ -70,6 +70,7 @@ ARTIFACT_VERSION = "1"
 _ESTIMATORS = ("auto", "analytic", "mc", "splitting", "transfer")
 _MODES = ("subadditive", "eps_fit", "both")
 _FORMATS = ("csv", "json")
+BRENT_XTOL, BRENT_RTOL = 1e-300, 1e-14  # _eps_for_depth's stop rule: relative only
 
 
 # -- configuration ---------------------------------------------------------
@@ -323,11 +324,12 @@ def _resolve_model(cfg: ExperimentConfig) -> GaussianModel:
     return model
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+def _brentq(f, xa: float, xb: float) -> float:
     """Root of f on the bracket [xa, xb] by Brent's method (Brent 1973,
     ch. 4), step for step the C routine behind scipy's brentq, so both
-    return the same float. Raises ValueError when f is NaN or the ends
-    do not bracket a sign change, RuntimeError after 100 steps."""
+    return the same float under xtol=BRENT_XTOL, rtol=BRENT_RTOL. Raises
+    ValueError when f is NaN or the ends do not bracket a sign change,
+    RuntimeError after 100 steps."""
 
     def call(x: float) -> float:
         fx = float(f(x))
@@ -351,7 +353,7 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -377,13 +379,12 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
 
 def _eps_for_depth(depth_fn, target: float, lo: float = 1e-8, hi: float = 50.0) -> float:
     """Invert a decreasing depth(eps) on [lo, hi] by Brent's method in
-    v = eps**-2 to 1e-14 relative. A small-ball depth grows like c / eps**2,
+    v = eps**-2 to BRENT_RTOL relative. A small-ball depth grows like c / eps**2,
     so it is nearly linear in v: the first steps land near the root, not on
     the flat wide end where depth is about 0 and every band sweep is widest.
     """
     try:
-        v = _brentq(lambda v: depth_fn(v**-0.5) - target, hi**-2, lo**-2,
-                    xtol=1e-300, rtol=1e-14)
+        v = _brentq(lambda v: depth_fn(v**-0.5) - target, hi**-2, lo**-2)
     except ValueError:  # the ends do not bracket the target
         raise RangeError(
             f"depth {target:g} outside [{depth_fn(hi):g}, {depth_fn(lo):g}]") from None

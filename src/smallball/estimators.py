@@ -586,24 +586,23 @@ def _replica_estimates(
     delta-method error and the replica spread, or, for a center that died
     in any replica, a bound at its smallest replica value.
 
-    Refuses, before any draw, a run whose live replicas would hold more
-    than MEMORY_BUDGET bytes of float64 buffers: X, F, P and, around
-    nonzero centers, the offsets, each (centers, n_per_level, nodes), once
-    per replica the pool runs at a time."""
+    A replica holds float64 buffers X, F, P and, around nonzero centers,
+    the offsets, each (centers, n_per_level, nodes). A replica over
+    MEMORY_BUDGET bytes is refused before any draw; otherwise the pool runs
+    at most as many replicas at a time as fit in the budget."""
     n_centers = 1 if np.ndim(centers) == 0 else len(centers)
     n_buffers = 3 if np.ndim(centers) == 0 and centers == 0 else 4
-    n_live = min(worker_count(), len(keys))
-    need = 8 * n_buffers * n_centers * n_per_level * math.prod(model.value_shape) * n_live
-    if need > MEMORY_BUDGET:
+    per_replica = 8 * n_buffers * n_centers * n_per_level * math.prod(model.value_shape)
+    if per_replica > MEMORY_BUDGET:
         raise ConfigurationError(
-            f"splitting needs {need / 2**20:.0f} MiB of float64 buffers for {n_live} "
-            f"replica(s) at once, over the {MEMORY_BUDGET / 2**20:.0f} MiB budget; "
+            f"a splitting replica needs {per_replica / 2**20:.0f} MiB of float64 buffers, "
+            f"over the {MEMORY_BUDGET / 2**20:.0f} MiB budget; "
             "use fewer centers or a coarser grid")
     record = {e: j for j, e in enumerate(eps_grid)}
     passes = keyed_map(lambda r: _splitting_pass(
         model, norm_spec, centers, levels, n_per_level, stream.spawn(r).generator(), n_moves,
         (n_centers, n_per_level), record, strict,
-    ), keys)
+    ), keys, workers=min(worker_count(), MEMORY_BUDGET // per_replica))
     logs = np.array([rec_log for rec_log, _, _, _ in passes])
     vars_ = np.array([rec_var for _, rec_var, _, _ in passes])
     any_dead = np.any([dead for _, _, dead, _ in passes], axis=0)

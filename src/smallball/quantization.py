@@ -78,7 +78,6 @@ def build_codebook(
     model: GaussianModel,
     r: float,
     stream: RandomStream,
-    memory_budget: int = MEMORY_BUDGET,
 ) -> Codebook:
     """Draw the floor(e^r) codewords for rate r, stored in float32, the
     precision ``nearest_distance`` reads.
@@ -86,17 +85,17 @@ def build_codebook(
     The stream is drawn in row order, in blocks of about DRAW_BLOCK_BYTES of
     float64, and rows are independent, so each entry is the float32 rounding
     of the row one draw of all n would give. Refuses codebooks whose float32
-    entries would exceed memory_budget bytes; coarsen the model grid or
+    entries would exceed MEMORY_BUDGET bytes; coarsen the model grid or
     lower r rather than raising the budget blindly.
     """
     n = target_size(r)
     shape = model.value_shape
     row = math.prod(shape)
     bytes_needed = n * row * np.dtype(np.float32).itemsize
-    if bytes_needed > memory_budget:
+    if bytes_needed > MEMORY_BUDGET:
         raise ConfigurationError(
             f"codebook at r={r:g} needs {bytes_needed / 2**20:.0f} MiB of float32 entries, "
-            f"over the {memory_budget / 2**20:.0f} MiB budget"
+            f"over the {MEMORY_BUDGET / 2**20:.0f} MiB budget"
         )
     entries = np.empty((n,) + shape, dtype=np.float32)
     rows = min(n, max(1, DRAW_BLOCK_BYTES // (8 * row)))
@@ -158,7 +157,6 @@ def sample_nearest(
     n_test: int,
     stream: RandomStream,
     codebook: Codebook | None = None,
-    memory_budget: int = MEMORY_BUDGET,
 ) -> np.ndarray:
     """Nearest-codeword distances for n_test fresh draws at rate r.
 
@@ -179,7 +177,7 @@ def sample_nearest(
         if j == 0 and codebook is not None:
             book = codebook
         else:
-            book = build_codebook(model, r, book_stream.spawn(j), memory_budget)
+            book = build_codebook(model, r, book_stream.spawn(j))
         return nearest_distance(tests[j], book, model.dt, norm_spec)
 
     return np.concatenate(keyed_map(batch, range(len(tests))))

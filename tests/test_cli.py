@@ -510,9 +510,9 @@ def test_brentq_port_equals_scipy_on_the_depths_it_inverts():
              + _inversions(lambda e: sbf_analytic(BrownianBridge(n_steps=64), sup, e).phi,
                            (0.5, 4.0, 20.0)))
     for f, a, b in cases:
-        got = cli._brentq(f, a, b, xtol=1e-300, rtol=1e-14)
+        got = cli._brentq(f, a, b)
         assert type(got) is float
-        assert got == brentq(f, a, b, xtol=1e-300, rtol=1e-14)
+        assert got == brentq(f, a, b, xtol=cli.BRENT_XTOL, rtol=cli.BRENT_RTOL)
 
 
 def test_brentq_port_equals_scipy_on_random_monotone_functions():
@@ -522,30 +522,28 @@ def test_brentq_port_equals_scipy_on_random_monotone_functions():
     for _ in range(3000):
         a, b = np.sort(rng.uniform(-5.0, 5.0, 2))
         root, power, wiggle = rng.uniform(a - 0.5, b + 0.5), rng.uniform(0.2, 5.0), rng.normal()
-        xtol = float(rng.choice([1e-300, 2e-12, 1e-6]))
-        rtol = float(rng.choice([1e-14, 4 * np.finfo(float).eps, 1e-8]))
 
         def f(x):
             return math.copysign(abs(x - root) ** power, x - root) + 0.01 * wiggle * math.tanh(x)
 
         try:
-            want = brentq(f, a, b, xtol=xtol, rtol=rtol)
+            want = brentq(f, a, b, xtol=cli.BRENT_XTOL, rtol=cli.BRENT_RTOL)
         except ValueError as exc:  # no sign change: the port refuses alike
             with pytest.raises(ValueError, match="different signs"):
-                cli._brentq(f, a, b, xtol=xtol, rtol=rtol)
+                cli._brentq(f, a, b)
             assert "different signs" in str(exc)
             continue
-        assert cli._brentq(f, a, b, xtol=xtol, rtol=rtol) == want
+        assert cli._brentq(f, a, b) == want
 
 
 def test_brentq_port_errors():
     with pytest.raises(ValueError, match="NaN"):
-        cli._brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12, 1e-14)
+        cli._brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
     with pytest.raises(ValueError, match="different signs"):
-        cli._brentq(lambda x: x + 2.0, 0.0, 1.0, 1e-12, 1e-14)
+        cli._brentq(lambda x: x + 2.0, 0.0, 1.0)
     # a root at 0 under an absolute tolerance of 1e-300 takes about 1,000 halvings
     with pytest.raises(RuntimeError, match="after 100 iterations"):
-        cli._brentq(lambda x: math.copysign(abs(x) ** 0.1, x), -1.0, 3.0, 1e-300, 1e-14)
+        cli._brentq(lambda x: math.copysign(abs(x) ** 0.1, x), -1.0, 3.0)
     depth = centered_depth(Scalar(), parse_norm("sup"))
     with pytest.raises(RangeError, match="outside"):  # the ends do not bracket the target
         cli._eps_for_depth(depth, 1e4)

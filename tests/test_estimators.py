@@ -28,7 +28,7 @@ from smallball.estimators import (
 )
 from smallball.models import BrownianBridge, FiniteSpectrum, Scalar, WienerPath
 from smallball.norms import NormSpec, parse_norm
-from smallball.streams import RandomStream
+from smallball.streams import RandomStream, keyed_map
 from smallball.transfer import band_log_prob, band_log_probs, transfer_applies
 
 SUP = NormSpec("sup")
@@ -338,13 +338,30 @@ def test_splitting_validation():
 
 def test_splitting_checks_its_buffers_against_the_memory_budget(monkeypatch):
     # 10^5 paths of wiener:n=4096 would take 9.2 GiB of buffers per replica;
-    # the refusal comes before the first draw
+    # the refusal comes before the first draw, whatever the pool width
     model = WienerPath(n_steps=4096)
-    monkeypatch.setattr(WienerPath, "sample_values", lambda *a, **k: pytest.fail("drew"))
-    for workers in ("1", "2"):
-        monkeypatch.setenv("SMALLBALL_WORKERS", workers)
-        with pytest.raises(ConfigurationError, match=f"for {workers} replica"):
-            ball_prob_splitting(model, SUP, 0.5, [1.0, 0.5], 100_000, RandomStream(0))
+    with monkeypatch.context() as m:
+        m.setattr(WienerPath, "sample_values", lambda *a, **k: pytest.fail("drew"))
+        for workers in ("1", "2", "8"):
+            m.setenv("SMALLBALL_WORKERS", workers)
+            with pytest.raises(ConfigurationError, match="a splitting replica needs 9377 MiB"):
+                ball_prob_splitting(model, SUP, 0.5, [1.0, 0.5], 100_000, RandomStream(0))
+    # a budget that holds one replica's 3 x 64 x 65 float64 buffers runs the
+    # replicas one at a time, to the same values as the full pool
+    monkeypatch.setenv("SMALLBALL_WORKERS", "3")
+    small = WienerPath(n_steps=64)
+    want = ball_prob_splitting(small, SUP, 0.5, [1.0, 0.5], 64, RandomStream(5), n_replicas=3)
+    widths = []
+
+    def spy(fn, tasks, workers):
+        widths.append(workers)
+        return keyed_map(fn, tasks, workers)
+
+    monkeypatch.setattr(estimators, "keyed_map", spy)
+    monkeypatch.setattr(estimators, "MEMORY_BUDGET", 8 * 3 * 64 * 65)
+    got = ball_prob_splitting(small, SUP, 0.5, [1.0, 0.5], 64, RandomStream(5), n_replicas=3)
+    assert widths == [1]
+    assert got == want
 
 
 def test_splitting_dies_loudly_on_hopeless_levels():

@@ -50,12 +50,14 @@ def test_build_codebook_count_and_budget():
         build_codebook(WienerPath(n_steps=4096), 12.0, RandomStream(80))
 
 
-def test_build_codebook_budget_counts_float32_bytes():
+def test_build_codebook_budget_counts_float32_bytes(monkeypatch):
     model = WienerPath(n_steps=32)
     need = 20 * 33 * 4  # floor(e^3) = 20 words of 33 float32 nodes
-    assert build_codebook(model, 3.0, RandomStream(80), memory_budget=need).n == 20
+    monkeypatch.setattr(quantization, "MEMORY_BUDGET", need)
+    assert build_codebook(model, 3.0, RandomStream(80)).n == 20
+    monkeypatch.setattr(quantization, "MEMORY_BUDGET", need - 1)
     with pytest.raises(ConfigurationError, match="budget"):
-        build_codebook(model, 3.0, RandomStream(80), memory_budget=need - 1)
+        build_codebook(model, 3.0, RandomStream(80))
 
 
 @pytest.mark.parametrize("model", [
