@@ -793,7 +793,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--eps", help="comma-separated radii")
     common.add_argument("--r-grid", dest="r_grid", help="comma-separated rates")
     common.add_argument("--s", help="distortion moment order")
-    common.add_argument("--samples", help="sampling budget (0 = command default)")
+    common.add_argument("--samples", help="sampling budget (0 = command default); "
+                        "splitting ignores it and uses 512 paths per level and 3 replicas "
+                        "for a centered curve, 384 and 2 for a panel")
     common.add_argument("--centers", help="panel size (0 = command default)")
     common.add_argument("--seed", help="master seed (required; no clock default)")
     common.add_argument("--grid-n", dest="grid_n", help="path discretization override")

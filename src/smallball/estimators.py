@@ -36,7 +36,7 @@ from .transfer import CELLS_PER_STEP_SD, band_log_prob, band_log_probs, transfer
 
 METHODS = ("analytic", "mc", "splitting")
 ROUTES = ("analytic", "transfer", "mc", "splitting")
-MC_BLOCK_BYTES = 2**24  # float64 draws held at once by plain Monte Carlo
+MC_BLOCK_BYTES = 2**22  # float64 draws held at once by plain Monte Carlo and the pilot
 MEMORY_BUDGET = 512 * 2**20  # bytes a codebook or the live splitting replicas may hold
 RHO = 0.95  # pCN correlation of a splitting move
 N_MOVES = 10  # pCN moves per level of a centered or single-ball ladder
@@ -341,6 +341,17 @@ def sbf_analytic(model: GaussianModel, norm_spec: NormSpec, eps: float) -> ProbE
 # -- plain Monte Carlo --------------------------------------------------------
 
 
+def _norm_blocks(model: GaussianModel, norm_spec: NormSpec, n: int, rng: np.random.Generator,
+                 center=0.0):
+    """Yield the distances to center of n draws from rng, in blocks of about
+    MC_BLOCK_BYTES of float64 values. The stream is read in row order, so
+    the distances do not depend on the block size."""
+    block = max(1, MC_BLOCK_BYTES // (8 * math.prod(model.value_shape)))
+    for done in range(0, n, block):
+        x = model.sample_values(rng, min(block, n - done))
+        yield eval_norm_batch(x - center, model.dt, norm_spec)
+
+
 def ball_prob_mc(
     model: GaussianModel,
     norm_spec: NormSpec,
@@ -349,26 +360,15 @@ def ball_prob_mc(
     stream: RandomStream,
     center=None,
 ) -> ProbEstimate:
-    """Plain MC estimate of log mu(B(center, eps)).
-
-    Draws come in blocks of about MC_BLOCK_BYTES of float64 values; the
-    stream is read in row order, so the hit count does not depend on the
-    block size."""
+    """Plain MC estimate of log mu(B(center, eps)), drawn in blocks
+    (``_norm_blocks``)."""
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
-    rng = stream.generator()
     c = 0.0 if center is None else np.asarray(center, dtype=float)
-    block = max(1, MC_BLOCK_BYTES // (8 * math.prod(model.value_shape)))
-    hits = 0
-    done = 0
-    while done < n_samples:
-        k = min(block, n_samples - done)
-        x = model.sample_values(rng, k)
-        d = eval_norm_batch(x - c, model.dt, norm_spec)
-        hits += int((d <= eps).sum())
-        done += k
+    hits = sum(int((d <= eps).sum())
+               for d in _norm_blocks(model, norm_spec, n_samples, stream.generator(), c))
     if hits == 0:
         return ProbEstimate(math.log(3.0 / n_samples), math.inf, n_samples, "mc", bound=True)
     p = hits / n_samples
@@ -586,10 +586,17 @@ def _replica_estimates(
     delta-method error and the replica spread, or, for a center that died
     in any replica, a bound at its smallest replica value.
 
+    Fewer replicas than twice the pool width each get a thread, so that
+    3 replicas on 2 cores share them instead of the third running alone
+    while a core idles; more run on the pool width. Oversubscribing is
+    cheap here because a move spends its time in numpy calls that release
+    the GIL (Philox normals, cumsum, the proposal and the norm), and each
+    replica reads its own keyed stream, so the thread count moves no value.
+
     A replica holds float64 buffers X, F, P and, around nonzero centers,
     the offsets, each (centers, n_per_level, nodes). A replica over
-    MEMORY_BUDGET bytes is refused before any draw; otherwise the pool runs
-    at most as many replicas at a time as fit in the budget."""
+    MEMORY_BUDGET bytes is refused before any draw; otherwise at most as
+    many replicas run at a time as fit in the budget."""
     n_centers = 1 if np.ndim(centers) == 0 else len(centers)
     n_buffers = 3 if np.ndim(centers) == 0 and centers == 0 else 4
     per_replica = 8 * n_buffers * n_centers * n_per_level * math.prod(model.value_shape)
@@ -598,11 +605,13 @@ def _replica_estimates(
             f"a splitting replica needs {per_replica / 2**20:.0f} MiB of float64 buffers, "
             f"over the {MEMORY_BUDGET / 2**20:.0f} MiB budget; "
             "use fewer centers or a coarser grid")
+    width = worker_count()
+    workers = len(keys) if len(keys) < 2 * width else width
     record = {e: j for j, e in enumerate(eps_grid)}
     passes = keyed_map(lambda r: _splitting_pass(
         model, norm_spec, centers, levels, n_per_level, stream.spawn(r).generator(), n_moves,
         (n_centers, n_per_level), record, strict,
-    ), keys, workers=min(worker_count(), MEMORY_BUDGET // per_replica))
+    ), keys, workers=min(workers, MEMORY_BUDGET // per_replica))
     logs = np.array([rec_log for rec_log, _, _, _ in passes])
     vars_ = np.array([rec_var for _, rec_var, _, _ in passes])
     any_dead = np.any([dead for _, _, dead, _ in passes], axis=0)
@@ -683,9 +692,7 @@ def pilot_curve(model: GaussianModel, norm_spec: NormSpec, stream: RandomStream)
     if "analytic" in route_table(model, norm_spec).centered:
         return lambda e: -sbf_analytic(model, norm_spec, e).log_prob
     # quadratic-in-1/eps fit through two crude MC points
-    rng = stream.generator()
-    x = model.sample_values(rng, 4096)
-    d = eval_norm_batch(x, model.dt, norm_spec)
+    d = np.concatenate(list(_norm_blocks(model, norm_spec, 4096, stream.generator())))
     q50, q05 = np.quantile(d, [0.5, 0.05])
     # phi(q50) ~ log 2, phi(q05) ~ log 20; interpolate c/eps^2 + b
     A = np.array([[1.0 / q50**2, 1.0], [1.0 / q05**2, 1.0]])

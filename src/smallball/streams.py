@@ -57,7 +57,10 @@ class RandomStream:
 def worker_count() -> int:
     """Pool width: SMALLBALL_WORKERS when set (a value that is not an
     integer counts as 1), else the CPUs this process may run on. It never
-    affects results, only speed."""
+    affects results, only speed. Multilevel splitting gives each replica
+    its own thread when there are fewer than twice this many (3 replicas
+    on 2 cores would otherwise leave one core idle while the third runs);
+    every other pool runs at this width."""
     raw = os.environ.get(WORKERS_ENV, "").strip()
     if not raw:
         try:

@@ -282,6 +282,20 @@ def test_mc_blocks_do_not_change_the_estimate(model, monkeypatch):
     assert ball_prob_mc(model, spec, 0.6, 3_000, RandomStream(27), center=center) == default
 
 
+@pytest.mark.parametrize("model, norm", [(WienerPath(n_steps=64), "lp:p=2"),
+                                         (WienerPath(n_steps=16, d=2), "sup"),
+                                         (BrownianBridge(n_steps=32), "lp:p=4")],
+                         ids=["wiener-l2", "wiener2d-sup", "bridge-l4"])
+def test_pilot_blocks_do_not_change_the_curve(model, norm, monkeypatch):
+    # the pilot draws through the same blocked loop as plain Monte Carlo
+    spec = parse_norm(norm)
+    radii = (0.05, 0.2, 0.5, 1.0)
+    default = pilot_curve(model, spec, RandomStream(37))
+    monkeypatch.setattr(estimators, "MC_BLOCK_BYTES", 1)
+    one_row = pilot_curve(model, spec, RandomStream(37))
+    assert [one_row(e) for e in radii] == [default(e) for e in radii]
+
+
 # -- ladders and splitting ---------------------------------------------------------
 
 
@@ -364,6 +378,28 @@ def test_splitting_checks_its_buffers_against_the_memory_budget(monkeypatch):
     assert got == want
 
 
+@pytest.mark.parametrize("workers, n_replicas, threads", [
+    ("1", 1, 1), ("1", 3, 1), ("1", 4, 1),
+    ("2", 3, 3), ("2", 4, 2), ("2", 6, 2),
+    ("3", 5, 5), ("3", 6, 3),
+])
+def test_splitting_gives_fewer_than_twice_the_width_a_thread_each(workers, n_replicas, threads,
+                                                                   monkeypatch):
+    # 3 replicas on a 2-wide pool run at once rather than leaving the third
+    # alone beside an idle core; from twice the width on, the pool width holds
+    monkeypatch.setenv("SMALLBALL_WORKERS", workers)
+    widths = []
+
+    def spy(fn, tasks, workers):
+        widths.append(workers)
+        return keyed_map(fn, tasks, workers)
+
+    monkeypatch.setattr(estimators, "keyed_map", spy)
+    ball_prob_splitting(WienerPath(n_steps=64), SUP, 0.5, [1.0, 0.5], 64, RandomStream(5),
+                        n_replicas=n_replicas)
+    assert widths == [threads]
+
+
 def test_splitting_dies_loudly_on_hopeless_levels():
     with pytest.raises(LadderError):
         ball_prob_splitting(Scalar(), SUP, 1e-9, [1.0, 1e-9], 64, RandomStream(32))
@@ -382,7 +418,7 @@ SBF_SPLIT_PINS = {
 }
 
 
-@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
 @pytest.mark.parametrize("norm", sorted(SBF_SPLIT_PINS))
 def test_sbf_curve_splitting_is_pinned(norm, workers, monkeypatch):
     monkeypatch.setenv("SMALLBALL_WORKERS", workers)
@@ -394,7 +430,7 @@ def test_sbf_curve_splitting_is_pinned(norm, workers, monkeypatch):
     assert diag.acceptance_rates[-3:] == last_accs  # the last replica's diagnostics
 
 
-@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
 def test_ball_prob_splitting_is_pinned(workers, monkeypatch):
     monkeypatch.setenv("SMALLBALL_WORKERS", workers)
     model = WienerPath(n_steps=64)
@@ -410,7 +446,7 @@ def test_ball_prob_splitting_is_pinned(workers, monkeypatch):
     assert diag.acceptance_rates == (1.0, 0.9171875, 0.6234375, 0.246875)
 
 
-@pytest.mark.parametrize("workers", ["1", "3", "4"])
+@pytest.mark.parametrize("workers", ["1", "2", "3", "4"])
 def test_splitting_raises_the_first_replicas_ladder_error(workers, monkeypatch):
     # replicas 0, 2 and 3 die at levels 7, 3 and 1: the later replicas fail
     # sooner, but the error reported is replica 0's under every pool width
