@@ -78,7 +78,6 @@ from .rsbf import (
     GaugeCurve,
     Report,
     RSBFSample,
-    VerifierConfig,
     abs_moment_norm,
     certify_membership,
     check_doubling,
@@ -111,7 +110,7 @@ __all__ = [
     "PowerWarning", "ProbEstimate", "QuantizationResult", "RSBFSample",
     "RandomStream", "RangeError", "Report", "RichardsonFit", "SBFCurve",
     "Scalar", "ShapeError", "SmallballError", "SubadditiveSeries",
-    "VerifierConfig", "WienerPath", "abs_moment_norm", "ball_prob_mc",
+    "WienerPath", "abs_moment_norm", "ball_prob_mc",
     "ball_prob_splitting", "band_log_prob", "band_log_prob_extrapolated",
     "band_log_probs", "band_log_profile", "build_codebook", "certify_membership",
     "check_doubling", "constant_from_soft_rate",

@@ -36,7 +36,15 @@ from .constants import (
     subadditive_constant,
 )
 from .errors import ConfigurationError, RangeError, SmallballError
-from .estimators import centered_curve, centered_depth, depth_floor, pick_routes, route_table
+from .estimators import (
+    CURVE_PATHS,
+    CURVE_REPLICAS,
+    centered_curve,
+    centered_depth,
+    depth_floor,
+    pick_routes,
+    route_table,
+)
 from .models import BrownianBridge, GaussianModel, Scalar, WienerPath, parse_model
 from .norms import NormSpec, parse_norm
 from .quantization import (
@@ -48,9 +56,10 @@ from .quantization import (
     verify_distortion_gauge_match,
 )
 from .rsbf import (
+    PANEL_PATHS,
+    PANEL_REPLICAS,
     GaugeCurve,
     Report,
-    VerifierConfig,
     check_doubling,
     dispersion_trend,
     gauge_stats,
@@ -573,7 +582,6 @@ def cmd_constants(cfg: ExperimentConfig, stream: RandomStream):
 def cmd_verify_all(cfg: ExperimentConfig, stream: RandomStream):
     model = _resolve_model(cfg)
     spec = parse_norm(cfg.norm)
-    vcfg = VerifierConfig()
     route, panel_route = pick_routes(model, spec, "verify-all", cfg.estimator)
 
     # the verifiers look the centered curve up at eps, eps/sqrt2, eps/2, 2eps
@@ -589,32 +597,31 @@ def cmd_verify_all(cfg: ExperimentConfig, stream: RandomStream):
     gauge = gauge_stats(panel, centered=centered_depth(model, spec), stream=stream.spawn(2))
 
     reports = [
-        verify_enclosure(curve, panel, vcfg),
-        verify_gauge_sandwich(curve, gauge, vcfg),
-        check_doubling(curve, "lower", vcfg),
+        verify_enclosure(curve, panel),
+        verify_gauge_sandwich(curve, gauge),
+        check_doubling(curve, "lower"),
         dispersion_trend(panel, stream=stream.spawn(3)),
         mean_median_trend(panel, stream=stream.spawn(4)),
     ]
     if growth_hypothesis(model):
-        reports.append(check_doubling(curve, "upper", vcfg))
+        reports.append(check_doubling(curve, "upper"))
     if route_table(model, spec).exact:
         e_mid = cfg.eps[len(cfg.eps) // 2]
         reports.append(lipschitz_probe(model, spec, e_mid, 32, (0.25, 0.5, 1.0),
-                                       stream.spawn(5), vcfg, enforce_gate=False))
+                                       stream.spawn(5)))
     if isinstance(model, Scalar):
-        reports.append(shift_inequality_check(model, "halfspace", 0.5, 1.0,
-                                              stream.spawn(6), cfg=vcfg))
+        reports.append(shift_inequality_check(model, "halfspace", 0.5, 1.0, stream.spawn(6)))
         reports.append(shift_inequality_check(model, "ball", cfg.eps[0], 0.75,
                                               stream.spawn(7), norm_spec=spec,
-                                              n_samples=cfg.samples, cfg=vcfg))
+                                              n_samples=cfg.samples))
         reports.append(verify_enlarged_ball(model, spec, cfg.eps[-1], cfg.samples,
-                                            stream.spawn(8), vcfg))
+                                            stream.spawn(8)))
     elif isinstance(model, WienerPath) and model.d == 1:
         # a straight-line path of slope c has shift-space norm c sqrt(T)
         h = 0.75 * model.grid()
         reports.append(shift_inequality_check(model, "ball", cfg.eps[0], h,
                                               stream.spawn(7), norm_spec=spec,
-                                              n_samples=min(cfg.samples, 50_000), cfg=vcfg))
+                                              n_samples=min(cfg.samples, 50_000)))
 
     verdicts: list[dict] = []
     for rep in reports:
@@ -794,8 +801,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--r-grid", dest="r_grid", help="comma-separated rates")
     common.add_argument("--s", help="distortion moment order")
     common.add_argument("--samples", help="sampling budget (0 = command default); "
-                        "splitting ignores it and uses 512 paths per level and 3 replicas "
-                        "for a centered curve, 384 and 2 for a panel")
+                        f"splitting ignores it and uses {CURVE_PATHS} paths per level and "
+                        f"{CURVE_REPLICAS} replicas for a centered curve, {PANEL_PATHS} and "
+                        f"{PANEL_REPLICAS} for a panel")
     common.add_argument("--centers", help="panel size (0 = command default)")
     common.add_argument("--seed", help="master seed (required; no clock default)")
     common.add_argument("--grid-n", dest="grid_n", help="path discretization override")

@@ -28,6 +28,7 @@ from .errors import ConfigurationError, DiagnosticError, DomainError, PowerWarni
 from .estimators import ProbEstimate, ball_prob_mc, require_route
 from .models import GaussianModel, WienerPath
 from .norms import NormSpec, eval_norm_batch
+from .rsbf import K_SIGMA
 from .streams import RandomStream, keyed_map
 from .transfer import (
     band_log_prob,
@@ -102,14 +103,14 @@ class SubadditiveSeries:
     def ratio_stderrs(self) -> np.ndarray:
         return np.array(self.stderrs) / np.array(self.a_grid)
 
-    def ratio_trend_violations(self, k_sigma: float = 3.0) -> int:
+    def ratio_trend_violations(self) -> int:
         """Count adjacent ratio pairs moving the wrong way beyond noise."""
         r = self.ratios()
         se = self.ratio_stderrs()
         sign = 1.0 if self.kind == "hard" else -1.0
         bad = 0
         for j in range(len(r) - 1):
-            slack = k_sigma * math.hypot(se[j], se[j + 1])
+            slack = K_SIGMA * math.hypot(se[j], se[j + 1])
             if sign * (r[j + 1] - r[j]) < -slack:
                 bad += 1
         return bad

@@ -40,6 +40,8 @@ MC_BLOCK_BYTES = 2**22  # float64 draws held at once by plain Monte Carlo and th
 MEMORY_BUDGET = 512 * 2**20  # bytes a codebook or the live splitting replicas may hold
 RHO = 0.95  # pCN correlation of a splitting move
 N_MOVES = 10  # pCN moves per level of a centered or single-ball ladder
+CURVE_PATHS = 512  # splitting paths per level of a centered curve's replica
+CURVE_REPLICAS = 3  # independent splitting replicas of a centered curve
 DELTA_PHI = 1.1  # ladder step in the pilot's negative-log-mass scale
 GRID_BIAS_RATE = 0.5  # leading order of the sup-norm grid bias, n^-1/2
 
@@ -206,7 +208,7 @@ def log_mass(model: GaussianModel, norm_spec: NormSpec, centers, eps):
     c = np.asarray(centers, dtype=float)
     e = np.asarray(eps, dtype=float)
     if exact == ("analytic",):
-        lm = -_scalar_ell_exact(c, e)
+        lm = -_scalar_ell_exact(c / model.sigma, e / model.sigma)
         return float(lm) if lm.ndim == 0 else lm
     e = e[:, None] if e.ndim else e
     if c.ndim == 1:
@@ -668,8 +670,8 @@ def sbf_curve(
     norm_spec: NormSpec,
     eps_grid: tuple[float, ...],
     stream: RandomStream,
-    n_per_level: int = 512,
-    n_replicas: int = 3,
+    n_per_level: int = CURVE_PATHS,
+    n_replicas: int = CURVE_REPLICAS,
 ) -> tuple[SBFCurve, SplittingDiagnostics]:
     """Centered small-ball curve over a decreasing grid via one shared ladder.
 

@@ -21,12 +21,13 @@ from .errors import ConfigurationError, DataError, DomainError, RangeError
 from .estimators import MEMORY_BUDGET, SBFCurve
 from .models import GaussianModel, WienerPath
 from .norms import NormSpec, distance_lower_bound, eval_norm_batch
-from .rsbf import CheckRow, GaugeCurve, Report, VerifierConfig
+from .rsbf import K_SIGMA, SLACK, CheckRow, GaugeCurve, Report
 from .streams import RandomStream, keyed_map
 
 REFRESH_EVERY = 64  # test draws served by one codebook draw
 DRAW_BLOCK_BYTES = 2**20  # float64 draw buffer while a codebook is built
 SCAN_BLOCK_BYTES = 2**24  # float32 differences evaluated at once by the exact scan
+SCAN_CHUNK = 1024  # codewords per block of the screened scan
 Z_QUANTILE_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
@@ -116,7 +117,6 @@ def nearest_distance(
     codebook: Codebook,
     dt: float,
     norm_spec: NormSpec,
-    chunk: int = 1024,
 ) -> np.ndarray:
     """Exact nearest-codeword distance per test draw, by screened search.
 
@@ -126,7 +126,7 @@ def nearest_distance(
     (``distance_lower_bound``: a sup over every 16th node for sup norms, a
     Gram expansion for lp:p=2, and 0 for norms without a screen). The exact
     distance at each draw's smallest bound starts the search; then, in
-    blocks of ``chunk`` codewords, only pairs whose bound does not exceed the
+    blocks of SCAN_CHUNK codewords, only pairs whose bound does not exceed the
     best exact distance so far are evaluated. A pair left out has a bound,
     hence an exact distance, above a distance already found, so the minimum
     is the one a full scan returns, bit for bit, for every chunk size. The
@@ -140,8 +140,8 @@ def nearest_distance(
     guess = e32[lb.argmin(axis=1)]
     best = eval_norm_batch(t32 - guess, dt, norm_spec).astype(np.float64)
     per_slice = max(1, SCAN_BLOCK_BYTES // (4 * math.prod(t32.shape[1:])))
-    for a in range(0, codebook.n, chunk):
-        i, j = np.nonzero(lb[:, a : a + chunk] <= best[:, None])
+    for a in range(0, codebook.n, SCAN_CHUNK):
+        i, j = np.nonzero(lb[:, a : a + SCAN_CHUNK] <= best[:, None])
         for b in range(0, len(i), per_slice):
             ib, jb = i[b : b + per_slice], j[b : b + per_slice]
             diff = t32[ib]
@@ -362,9 +362,7 @@ def invert_gauge(curve: GaugeCurve | SBFCurve, which: str = "mean") -> InverseGa
 # -- verifiers -----------------------------------------------------------------
 
 
-def verify_distortion_gauge_match(
-    results, gauge_inverse, cfg: VerifierConfig | None = None, hypothesis_ok: bool = True
-) -> Report:
+def verify_distortion_gauge_match(results, gauge_inverse, hypothesis_ok: bool = True) -> Report:
     """Distortion over gauge inverse per rate: inside the slack band, or
     drifting monotonically toward 1 across the rate ladder.
 
@@ -372,7 +370,6 @@ def verify_distortion_gauge_match(
     demotes every row to informational, since the matching claim is only
     made under that growth hypothesis.
     """
-    cfg = cfg or VerifierConfig()
     results = sorted(results, key=lambda q: q.r)
     if not results:
         raise ConfigurationError("no quantization results given")
@@ -384,13 +381,13 @@ def verify_distortion_gauge_match(
         CheckRow("distortion-gauge-ratio", None, ratio, 1.0, f"r={r:g}, se={se:.3g}")
         for r, ratio, se in ratios
     ]
-    in_band = abs(ratios[-1][1] - 1.0) <= cfg.slack + cfg.k_sigma * ratios[-1][2]
+    in_band = abs(ratios[-1][1] - 1.0) <= SLACK + K_SIGMA * ratios[-1][2]
     gaps = [abs(x - 1.0) for _, x, _ in ratios]
     drifting = all(
-        gaps[j + 1] <= gaps[j] + cfg.k_sigma * math.hypot(ratios[j][2], ratios[j + 1][2])
+        gaps[j + 1] <= gaps[j] + K_SIGMA * math.hypot(ratios[j][2], ratios[j + 1][2])
         for j in range(len(gaps) - 1)
     )
     verdict = (in_band or drifting) if hypothesis_ok else None
     note = "" if hypothesis_ok else "growth hypothesis unmet; informational only"
-    rows.append(CheckRow("distortion-gauge-match", verdict, ratios[-1][1], 1.0 + cfg.slack, note))
+    rows.append(CheckRow("distortion-gauge-match", verdict, ratios[-1][1], 1.0 + SLACK, note))
     return Report("distortion-gauge-match", tuple(rows))

@@ -42,8 +42,21 @@ from .streams import RandomStream, keyed_map
 GATE_LOG_LEVEL = 6.60772622151035  # -log Phi(-3), the probe's depth gate
 SHALLOW_DEPTH_FLOOR = 0.1  # nats; doubling pairs with a shallower wide ball are ignored
 PANEL_DELTA_PHI = 1.0  # ladder step of a center panel, in nats of the pilot curve
+PANEL_PATHS = 384  # splitting paths per level and center of a panel replica
+PANEL_MOVES = 8  # pCN moves per level of a panel ladder
+PANEL_REPLICAS = 2  # independent splitting replicas of a panel
 MOMENT_ORDERS = (1, 2)  # the panel L^p norms a gauge reports
 RIDGE_LAMBDAS = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)  # the certificate's ridge sweep
+CERT_KNOTS = 32  # knots of the certificate's piecewise-linear shifts
+N_BOOT = 400  # bootstrap resamples of a gauge interval or a trend row
+# the verifiers' policy: SLACK feeds the (1+SLACK) multipliers on asymptotic
+# bounds; NU and NU_TILDE are the claimed doubling constants (ratio of the
+# curve at eps to the curve at 2 eps, from below and above); K_SIGMA is the
+# combined standard-error multiplier that separates "violated" from "noise"
+SLACK = 0.1
+NU = 4.5
+NU_TILDE = 2.0
+K_SIGMA = 3.0
 
 
 @dataclass(frozen=True)
@@ -59,32 +72,6 @@ class RSBFSample:
             raise DomainError(f"eps must be positive, got {self.eps}")
         if self.ell_hat.phi < -3.0 * self.ell_hat.stderr_log:
             raise DataError("negative log mass must be >= 0 up to noise")
-
-
-@dataclass(frozen=True)
-class VerifierConfig:
-    """Slack and noise policy shared by the inequality verifiers.
-
-    slack feeds the (1+slack) multipliers on asymptotic bounds; nu and
-    nu_tilde are the claimed doubling constants (ratio of the curve at eps
-    to the curve at 2 eps, from below and above); k_sigma is the combined
-    standard-error multiplier that separates "violated" from "noise".
-    """
-
-    slack: float = 0.1
-    nu: float = 4.5
-    nu_tilde: float = 2.0
-    k_sigma: float = 3.0
-
-    def __post_init__(self):
-        if self.slack <= 0:
-            raise ConfigurationError("slack must be positive")
-        if self.nu < 1.0:
-            raise ConfigurationError("nu must be >= 1")
-        if self.nu_tilde <= 1.0:
-            raise ConfigurationError("nu_tilde must be > 1")
-        if self.k_sigma <= 0:
-            raise ConfigurationError("k_sigma must be positive")
 
 
 @dataclass(frozen=True)
@@ -165,9 +152,6 @@ def sample_rsbf(
     stream: RandomStream,
     estimator: str = "splitting",
     n_samples: int = 100_000,
-    n_per_level: int = 384,
-    n_moves: int = 8,
-    n_replicas: int = 2,
 ) -> list[RSBFSample]:
     """Estimate -log mu(B(X_i, eps)) for a shared panel of random centers.
 
@@ -212,8 +196,8 @@ def sample_rsbf(
         q.append(float(np.quantile(d, 0.5)))
     eps_start = max(max(q), 1.05 * eps_grid[0])
     levels = make_ladder(pilot, eps_start, eps_grid, PANEL_DELTA_PHI)
-    ests, _ = _replica_estimates(model, norm_spec, centers, levels, eps_grid, n_per_level,
-                                 stream, range(100, 100 + n_replicas), n_moves,
+    ests, _ = _replica_estimates(model, norm_spec, centers, levels, eps_grid, PANEL_PATHS,
+                                 stream, range(100, 100 + PANEL_REPLICAS), PANEL_MOVES,
                                  strict=False)
     return [RSBFSample(i, eps, est) for i, row in enumerate(ests)
             for eps, est in zip(eps_grid, row)]
@@ -244,7 +228,6 @@ def _exact_ranks(ell: np.ndarray, bound: np.ndarray) -> int:
 def gauge_stats(
     samples,
     centered=None,
-    n_boot: int = 400,
     stream: RandomStream | None = None,
 ) -> GaugeCurve:
     """Summarize an RSBF panel into a gauge curve.
@@ -253,8 +236,8 @@ def gauge_stats(
     used to emit the deterministic bound column of each of MOMENT_ORDERS. A radius
     with censored (bound) rows reports NaN for the mean, its error, the
     stddev and the moments, and for each quantile (median, its bootstrap
-    interval, the quartiles) that a censored cost could move. Bootstrap
-    resampling runs over centers on a fixed stream (pass one to decouple
+    interval, the quartiles) that a censored cost could move. The N_BOOT
+    bootstrap resamples run over centers on a fixed stream (pass one to decouple
     from the default).
     """
     groups = _by_eps(samples)
@@ -290,8 +273,8 @@ def gauge_stats(
         iqr.append(float(q75 - q25))
         std.append(math.nan if censored else float(ell.std(ddof=1)) if n > 1 else 0.0)
         rel.append(math.inf if med[-1] <= 0 else (q75 - q25) / med[-1])
-        boot_med = np.empty(n_boot)
-        for b in range(n_boot):
+        boot_med = np.empty(N_BOOT)
+        for b in range(N_BOOT):
             take = rng.integers(0, n, n)
             boot_med[b] = _lower_mid_median(np.sort(ell[take]))
             if censored and (n - 1) // 2 >= _exact_ranks(ell[take], bound[take]):
@@ -329,13 +312,13 @@ def curve_value(curve: SBFCurve, eps: float) -> ProbEstimate:
     raise ConfigurationError(f"curve has no radius {eps:g}")
 
 
-def verify_enclosure(sbf: SBFCurve, samples, cfg: VerifierConfig) -> Report:
+def verify_enclosure(sbf: SBFCurve, samples) -> Report:
     """Centered curve as envelope of the random one, from both sides.
 
     Per radius: (a) no center's ell may undercut the centered value beyond
-    k_sigma combined noise (the lower envelope is exact, not asymptotic;
+    K_SIGMA combined noise (the lower envelope is exact, not asymptotic;
     a bound row only bounds its cost from below and is not counted);
-    (b) the fraction of centers below (1+slack) * 2 * centered(eps/2) is
+    (b) the fraction of centers below (1+SLACK) * 2 * centered(eps/2) is
     reported, and must not decrease as the radius shrinks. A bound row at or
     below that cap may sit on either side of it, so its radius reports the
     fraction as NaN and the trend rows touching it are informational.
@@ -348,11 +331,11 @@ def verify_enclosure(sbf: SBFCurve, samples, cfg: VerifierConfig) -> Report:
         for s in group:
             # a bound row's cost is only a lower bound, no evidence of an undercut
             se = math.hypot(s.ell_hat.stderr_log, phi.stderr_log)
-            if not s.ell_hat.bound and s.ell_hat.phi < phi.phi - cfg.k_sigma * se:
+            if not s.ell_hat.bound and s.ell_hat.phi < phi.phi - K_SIGMA * se:
                 viol += 1
         rows.append(CheckRow("lower-envelope", viol == 0, float(viol), 0.0,
                              f"eps={eps:g}, centers={len(group)}"))
-        cap = (1.0 + cfg.slack) * 2.0 * curve_value(sbf, eps / 2.0).phi
+        cap = (1.0 + SLACK) * 2.0 * curve_value(sbf, eps / 2.0).phi
         below = [s.ell_hat.phi <= cap for s in group]
         undecided = any(b and s.ell_hat.bound for b, s in zip(below, group))
         frac = math.nan if undecided else sum(below) / len(group)
@@ -362,27 +345,27 @@ def verify_enclosure(sbf: SBFCurve, samples, cfg: VerifierConfig) -> Report:
         e0, f0, n0 = fracs[j]
         e1, f1, n1 = fracs[j + 1]
         se = math.sqrt(f0 * (1 - f0) / n0 + f1 * (1 - f1) / n1)
-        ok = None if math.isnan(se) else f1 >= f0 - cfg.k_sigma * se
+        ok = None if math.isnan(se) else f1 >= f0 - K_SIGMA * se
         rows.append(
             CheckRow("two-scale-upper-trend", ok, f1 - f0,
-                     -cfg.k_sigma * se, f"eps {e0:g}->{e1:g}")
+                     -K_SIGMA * se, f"eps {e0:g}->{e1:g}")
         )
     return Report("enclosure", tuple(rows))
 
 
-def verify_gauge_sandwich(sbf: SBFCurve, gauge: GaugeCurve, cfg: VerifierConfig) -> Report:
-    """centered(eps/sqrt 2) <= (1+slack) mean[ell_eps] <= (1+slack)^2 *
-    2 centered(eps/2), per grid radius, with k_sigma noise allowance on the
+def verify_gauge_sandwich(sbf: SBFCurve, gauge: GaugeCurve) -> Report:
+    """centered(eps/sqrt 2) <= (1+SLACK) mean[ell_eps] <= (1+SLACK)^2 *
+    2 centered(eps/2), per grid radius, with K_SIGMA noise allowance on the
     panel mean; informational at a radius whose mean is censored."""
     rows: list[CheckRow] = []
     for j, eps in enumerate(gauge.eps_grid):
         mean, se = gauge.mean[j], gauge.mean_se[j]
         lo = curve_value(sbf, eps / math.sqrt(2.0)).phi
         hi = 2.0 * curve_value(sbf, eps / 2.0).phi
-        s = 1.0 + cfg.slack
+        s = 1.0 + SLACK
         decided = not math.isnan(mean)  # a censored radius has no mean
-        ok_lo = lo <= s * (mean + cfg.k_sigma * se) if decided else None
-        ok_hi = s * (mean - cfg.k_sigma * se) <= s * s * hi if decided else None
+        ok_lo = lo <= s * (mean + K_SIGMA * se) if decided else None
+        ok_hi = s * (mean - K_SIGMA * se) <= s * s * hi if decided else None
         rows.append(CheckRow("gauge-lower", ok_lo, lo, s * mean, f"eps={eps:g}"))
         rows.append(CheckRow("gauge-upper", ok_hi, s * mean, s * s * hi, f"eps={eps:g}"))
     return Report("gauge-sandwich", tuple(rows))
@@ -397,12 +380,12 @@ def growth_hypothesis(model: GaussianModel) -> bool:
     return not isinstance(model, (Scalar, FiniteSpectrum))
 
 
-def check_doubling(sbf: SBFCurve, which: str, cfg: VerifierConfig) -> Report:
+def check_doubling(sbf: SBFCurve, which: str) -> Report:
     """Two-to-one radius ratios of the centered curve.
 
     which="lower": reports nu_hat = max ratio of curve(eps)/curve(2 eps)
     (finiteness is the claim; the fitted constant is informational).
-    which="upper": requires every ratio >= nu_tilde; polynomial curves of
+    which="upper": requires every ratio >= NU_TILDE; polynomial curves of
     order gamma sit near 2^gamma, logarithmic ones near 1 and must fail.
     """
     if which not in ("lower", "upper"):
@@ -432,11 +415,11 @@ def check_doubling(sbf: SBFCurve, which: str, cfg: VerifierConfig) -> Report:
     ]
     if which == "lower":
         nu_hat = max(vals)
-        rows.append(CheckRow("doubling-lower", nu_hat <= cfg.nu, nu_hat, cfg.nu,
+        rows.append(CheckRow("doubling-lower", nu_hat <= NU, nu_hat, NU,
                              "fitted upper doubling constant"))
     else:
         worst = min(vals)
-        rows.append(CheckRow("doubling-upper", worst >= cfg.nu_tilde, worst, cfg.nu_tilde,
+        rows.append(CheckRow("doubling-upper", worst >= NU_TILDE, worst, NU_TILDE,
                              "two-scale growth floor"))
     return Report(f"doubling-{which}", tuple(rows))
 
@@ -468,13 +451,12 @@ def certify_membership(
     y: np.ndarray | float,
     eps: float,
     shift_budget: float,
-    n_knots: int = 32,
 ) -> Decomposition:
     """One-sided membership certificate for the enlarged ball
     eps*B + shift_budget*B_mu.
 
     Sweeps ridge projections of y onto piecewise-linear elements over
-    n_knots knots, or one per grid step on a coarser grid: each of the
+    CERT_KNOTS knots, or one per grid step on a coarser grid: each of the
     RIDGE_LAMBDAS yields a candidate split y = (y - h) + h;
     the first candidate whose parts fit both budgets certifies membership.
     Failure is *possible* non-membership, never proof. For the scalar model
@@ -487,9 +469,9 @@ def certify_membership(
         return Decomposition(rest, abs(shift) / model.sigma, rest <= eps + 1e-12)
     yv = np.asarray(y, dtype=float)
     n = len(yv) - 1
-    n_knots = min(n_knots, n)
+    n_knots = min(CERT_KNOTS, n)
     if n_knots < 2:
-        raise ConfigurationError("knot count must be in [2, n_steps]")
+        raise ConfigurationError("the certificate needs a grid of at least 2 steps")
     tk = np.linspace(0.0, n, n_knots + 1).astype(int)
     # interpolation matrix S: knot values -> path nodes (piecewise linear)
     S = np.zeros((n + 1, n_knots + 1))
@@ -533,8 +515,6 @@ def lipschitz_probe(
     n_pairs: int,
     shift_magnitudes,
     stream: RandomStream,
-    cfg: VerifierConfig | None = None,
-    enforce_gate: bool = True,
 ) -> Report:
     """Log ball mass as a Lipschitz function of the center.
 
@@ -542,21 +522,14 @@ def lipschitz_probe(
     8 sqrt(centered(eps)) |h| over random centers x ~ mu and random shifts
     h, restricted to pairs certified inside the enlarged ball
     eps*B + 3 sqrt(centered(eps)) B_mu. The claim needs the ball at 2 eps
-    deep enough (centered(2 eps) above ~6.61); by default a shallower ball
-    refuses, ``enforce_gate=False`` downgrades the rows to informational
-    (the regime where the constant 8 is not promised).
+    deep enough (centered(2 eps) above ~6.61); a shallower ball makes the
+    rows informational (the regime where the constant 8 is not promised).
     """
-    cfg = cfg or VerifierConfig()
     psi = functools.partial(log_mass, model, norm_spec, eps=2.0 * eps)
     origin = np.zeros(model.value_shape)
     phi_2e = -psi(origin)
     phi_e = -log_mass(model, norm_spec, origin, eps)
     gate_ok = phi_2e >= GATE_LOG_LEVEL
-    if not gate_ok and enforce_gate:
-        raise DomainError(
-            f"ball at 2*eps too shallow for the probe: depth {phi_2e:.4f} < "
-            f"{GATE_LOG_LEVEL:.4f}; shrink eps or pass enforce_gate=False"
-        )
     rows = [CheckRow("log-lipschitz-gate", None, phi_2e, GATE_LOG_LEVEL,
                      "met" if gate_ok else "not met; rows informational")]
     lip = 8.0 * math.sqrt(phi_e)
@@ -593,7 +566,6 @@ def shift_inequality_check(
     stream: RandomStream,
     norm_spec: NormSpec | None = None,
     n_samples: int = 200_000,
-    cfg: VerifierConfig | None = None,
 ) -> Report:
     """Translate a set, bound its new mass through the one-dimensional CDF.
 
@@ -603,10 +575,9 @@ def shift_inequality_check(
 
         Phi(Phi^-1(mu A) - |h|) <= mu(A + h) <= Phi(Phi^-1(mu A) + |h|)
 
-    within k_sigma combined noise; half-spaces meet the matching side with
+    within K_SIGMA combined noise; half-spaces meet the matching side with
     equality.
     """
-    cfg = cfg or VerifierConfig()
     hn = rkhs_norm(model, shift)
     if not math.isfinite(hn):
         raise DomainError("shift must lie in the model's shift space")
@@ -637,7 +608,7 @@ def shift_inequality_check(
         raise ConfigurationError("kind must be 'ball' or 'halfspace'")
     base = scipy.special.ndtri(mu_a)
     lo, hi = scipy.special.ndtr(base - hn), scipy.special.ndtr(base + hn)
-    tol = cfg.k_sigma * se + 1e-12
+    tol = K_SIGMA * se + 1e-12
     rows = (
         CheckRow("shift-lower", mu_ah >= lo - tol, mu_ah, lo, f"|h|={hn:g}"),
         CheckRow("shift-upper", mu_ah <= hi + tol, mu_ah, hi, f"|h|={hn:g}"),
@@ -651,7 +622,6 @@ def verify_enlarged_ball(
     eps: float,
     n_samples: int,
     stream: RandomStream,
-    cfg: VerifierConfig | None = None,
 ) -> Report:
     """Mass outside eps*B + 3 sqrt(centered(eps)) B_mu is at most the
     centered ball mass at eps.
@@ -660,7 +630,6 @@ def verify_enlarged_ball(
     decomposition search counts against the budget even though it may be a
     member, so a pass is genuine evidence.
     """
-    cfg = cfg or VerifierConfig()
     if isinstance(model, Scalar):
         phi = sbf_analytic(model, norm_spec, eps).phi
         m = 3.0 * math.sqrt(phi)
@@ -679,7 +648,7 @@ def verify_enlarged_ball(
     p_out = misses / n_samples
     se = math.sqrt(max(p_out * (1 - p_out), 1.0 / n_samples) / n_samples)
     cap = math.exp(-phi)
-    row = CheckRow("enlarged-ball", p_out <= cap + cfg.k_sigma * se, p_out, cap,
+    row = CheckRow("enlarged-ball", p_out <= cap + K_SIGMA * se, p_out, cap,
                    f"eps={eps:g}, conservative certificate, n={n_samples}")
     return Report("enlarged-ball", (row,))
 
@@ -687,7 +656,7 @@ def verify_enlarged_ball(
 # -- trend verifiers over the panel -------------------------------------------
 
 
-def _trend_report(claim: str, samples, statistic, rng, n_boot: int) -> Report:
+def _trend_report(claim: str, samples, statistic, rng) -> Report:
     """One row per consecutive radius pair: the panel statistic must not
     grow as the radius shrinks, judged on a bootstrap interval of the
     difference that resamples centers jointly, so the pairing is kept."""
@@ -700,8 +669,8 @@ def _trend_report(claim: str, samples, statistic, rng, n_boot: int) -> Report:
     rows = []
     for j in range(len(keys) - 1):
         a, b = mats[j], mats[j + 1]
-        diffs = np.empty(n_boot)
-        for t in range(n_boot):
+        diffs = np.empty(N_BOOT)
+        for t in range(N_BOOT):
             take = rng.integers(0, n, n)
             diffs[t] = statistic(b[take]) - statistic(a[take])
         lo, hi = (float(q) for q in np.quantile(diffs, [0.025, 0.975]))
@@ -721,15 +690,15 @@ def _mean_median_gap_stat(v: np.ndarray) -> float:
     return abs(float(v.mean()) / med - 1.0) if med > 0 else math.inf
 
 
-def dispersion_trend(samples, stream: RandomStream | None = None, n_boot: int = 400) -> Report:
+def dispersion_trend(samples, stream: RandomStream | None = None) -> Report:
     """Relative spread of ell (IQR over median) must not grow as the radius
     shrinks, judged on paired bootstrap intervals over the shared centers."""
     rng = (stream or RandomStream(1234, (78,))).generator()
-    return _trend_report("concentration-trend", samples, _rel_iqr_stat, rng, n_boot)
+    return _trend_report("concentration-trend", samples, _rel_iqr_stat, rng)
 
 
-def mean_median_trend(samples, stream: RandomStream | None = None, n_boot: int = 400) -> Report:
+def mean_median_trend(samples, stream: RandomStream | None = None) -> Report:
     """|mean/median - 1| must not grow as the radius shrinks (the two gauges
     coalesce), judged on paired bootstrap intervals."""
     rng = (stream or RandomStream(1234, (79,))).generator()
-    return _trend_report("mean-median-trend", samples, _mean_median_gap_stat, rng, n_boot)
+    return _trend_report("mean-median-trend", samples, _mean_median_gap_stat, rng)

@@ -8,8 +8,9 @@ exact up to the O(dx^2) spatial error; the continuous-time value follows
 from two-resolution extrapolation of the O(sqrt(dt)) monitoring bias.
 
 Everything here is deterministic, so results carry the ``analytic`` method
-tag with zero stderr (the spatial error at default resolution sits near
-1e-3 in the log, far below the Monte Carlo noise it is compared against).
+tag with zero stderr (the spatial error at dx = sqrt(dt)/CELLS_PER_STEP_SD
+sits near 1e-3 in the log, far below the Monte Carlo noise it is compared
+against).
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .models import GaussianModel, WienerPath
 from .norms import NormSpec
 
 KERNEL_REACH = 8.0  # step-kernel truncation, in units of sqrt(dt)
-CELLS_PER_STEP_SD = 8  # default spatial resolution: dx = sqrt(dt)/8
+CELLS_PER_STEP_SD = 8  # spatial resolution: dx = sqrt(dt)/8
 TILE = 64  # most output cells per block of the banded step operator
 WEIGHT_CELLS = 2**15  # cell weights computed at once, over as many nodes as fit
 REFINE = 4  # step-size ratio of the two sweeps a bias-corrected probability combines
@@ -46,7 +47,7 @@ def _cell_weights(left: np.ndarray, right: np.ndarray, dx: float, lo, hi) -> np.
     return np.minimum(right, 1.0, out=right)
 
 
-def _sweep(lo: np.ndarray, hi: np.ndarray, dt: float, dx: float | None):
+def _sweep(lo: np.ndarray, hi: np.ndarray, dt: float):
     """Backward sweep of a batch of bands, (B, N) each, one row per band.
 
     Row b lives on its own grid x0[b] + dx * j with x0[b] = lo[b].min() - 2dx.
@@ -67,10 +68,7 @@ def _sweep(lo: np.ndarray, hi: np.ndarray, dt: float, dx: float | None):
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
     sd = math.sqrt(dt)
-    if dx is None:
-        dx = sd / CELLS_PER_STEP_SD
-    if dx <= 0:
-        raise ConfigurationError(f"dx must be positive, got {dx}")
+    dx = sd / CELLS_PER_STEP_SD
     n_bands, n_nodes = lo.shape
     x0 = lo.min(axis=1) - 2 * dx
 
@@ -134,7 +132,7 @@ def _sweep(lo: np.ndarray, hi: np.ndarray, dt: float, dx: float | None):
 
 
 def band_log_profile(
-    band_lo: np.ndarray, band_hi: np.ndarray, dt: float, dx: float | None = None
+    band_lo: np.ndarray, band_hi: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log-probability of staying in a moving band, per starting point.
 
@@ -146,7 +144,7 @@ def band_log_profile(
     hi = np.asarray(band_hi, dtype=float)
     if lo.shape != hi.shape or lo.ndim != 1 or len(lo) < 2:
         raise ConfigurationError("need equal-length 1d band arrays with >= 2 nodes")
-    x0, dx, first, window = _sweep(lo[None], hi[None], dt, dx)
+    x0, dx, first, window = _sweep(lo[None], hi[None], dt)
     m = int(math.ceil((float(hi.max()) + 2 * dx - x0[0]) / dx)) + 1
     x = x0[0] + dx * np.arange(m)
     logv = np.full(m, -np.inf)
@@ -168,25 +166,21 @@ def _at_start(x: np.ndarray, logv: np.ndarray, start: float | None) -> float:
     return float(np.interp(start, xf, lf))
 
 
-def band_log_prob(
-    band_lo, band_hi, dt: float, start: float | None = 0.0, dx: float | None = None
-) -> float:
+def band_log_prob(band_lo, band_hi, dt: float, start: float | None = 0.0) -> float:
     """Log band-staying probability from a fixed start, or the best start.
 
     ``start=None`` maximizes over the starting point (the free-start tube
     cost); a numeric start interpolates the profile and is -inf outside
     the first band.
     """
-    return _at_start(*band_log_profile(band_lo, band_hi, dt, dx), start)
+    return _at_start(*band_log_profile(band_lo, band_hi, dt), start)
 
 
-def band_log_probs(
-    band_lo, band_hi, dt: float, start: float | None = 0.0, dx: float | None = None
-) -> np.ndarray:
+def band_log_probs(band_lo, band_hi, dt: float, start: float | None = 0.0) -> np.ndarray:
     """``band_log_prob`` for a batch of bands, (B, N) arrays, in one sweep."""
     lo = np.asarray(band_lo, dtype=float)
     hi = np.asarray(band_hi, dtype=float)
-    x0, dx, first, logv = _sweep(lo, hi, dt, dx)
+    x0, dx, first, logv = _sweep(lo, hi, dt)
     x = x0[:, None] + dx * (first[:, None] + np.arange(logv.shape[1]))
     return np.array([_at_start(xb, lb, start) for xb, lb in zip(x, logv)])
 
@@ -206,11 +200,7 @@ def refine_nodes(values: np.ndarray, factor: int) -> np.ndarray:
 
 
 def band_log_prob_extrapolated(
-    band_lo,
-    band_hi,
-    dt: float,
-    start: float | None = 0.0,
-    dx: float | None = None,
+    band_lo, band_hi, dt: float, start: float | None = 0.0
 ) -> float | np.ndarray:
     """Monitoring-bias-corrected band probability.
 
@@ -222,8 +212,8 @@ def band_log_prob_extrapolated(
     """
     lo = np.atleast_2d(np.asarray(band_lo, dtype=float))
     hi = np.atleast_2d(np.asarray(band_hi, dtype=float))
-    coarse = band_log_probs(lo, hi, dt, start, dx)
-    fine = band_log_probs(refine_nodes(lo, REFINE), refine_nodes(hi, REFINE), dt / REFINE, start, dx)
+    coarse = band_log_probs(lo, hi, dt, start)
+    fine = band_log_probs(refine_nodes(lo, REFINE), refine_nodes(hi, REFINE), dt / REFINE, start)
     r = math.sqrt(REFINE)
     out = (r * fine - coarse) / (r - 1.0)
     return float(out[0]) if np.ndim(band_lo) == 1 else out

@@ -53,7 +53,6 @@ from smallball.quantization import (
     verify_distortion_gauge_match,
 )
 from smallball.rsbf import (
-    VerifierConfig,
     dispersion_trend,
     gauge_stats,
     sample_rsbf,
@@ -203,7 +202,7 @@ def test_criterion_04_growth_rate_inside_bracket(criterion, hard_series):
 
 def test_criterion_05_enclosure(criterion, main_panel):
     panel, curve, _ = main_panel
-    rep = verify_enclosure(curve, panel, VerifierConfig())
+    rep = verify_enclosure(curve, panel)
     viol = sum(int(r.observed) for r in rep.rows_for("lower-envelope"))
     fracs = [r.observed for r in rep.rows_for("two-scale-upper")]
     # grid is stored radius-decreasing, so the fraction must not drop along it
@@ -224,7 +223,7 @@ def test_criterion_06_mean_gauge_sandwich(criterion, main_panel):
         m = gauge.mean[j]
         ok &= lo <= 1.1 * m <= 1.21 * 2.0 * hi
         details.append(f"eps={eps:g}: {lo:.2f} <= {1.1 * m:.2f} <= {1.21 * 2.0 * hi:.2f}")
-    rep = verify_gauge_sandwich(curve, gauge, VerifierConfig())
+    rep = verify_gauge_sandwich(curve, gauge)
     ok &= rep.passed
     criterion(6, ok, "; ".join(details))
     assert ok
@@ -281,7 +280,7 @@ def test_criterion_09_distortion_tracks_inverse_gauge(criterion, wiener256):
         for j in range(len(gaps) - 1)
     )
     final_ok = 0.7 <= ratios[-1] <= 1.3
-    rep = verify_distortion_gauge_match(results, inv, VerifierConfig())
+    rep = verify_distortion_gauge_match(results, inv)
     covs = [
         coverage_event_rate(wiener256, SUP, inv, r, 0.5, 1024, stream.spawn(100 + k))
         for k, r in enumerate(rates)

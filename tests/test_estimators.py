@@ -175,6 +175,19 @@ def test_log_mass_is_the_exact_route():
     assert centered_depth(model, SUP)(0.5) == -band_log_prob(-0.5 * ones, 0.5 * ones, model.dt)
 
 
+@pytest.mark.parametrize("sigma", [0.5, 2.0])
+@pytest.mark.parametrize("center", [0.0, 1.3])
+def test_scalar_log_mass_scales_by_sigma(sigma, center):
+    model = Scalar(sigma=sigma)
+    eps = 0.5
+    want = math.log(gauss.cdf((center + eps) / sigma) - gauss.cdf((center - eps) / sigma))
+    assert log_mass(model, SUP, center, eps) == pytest.approx(want, rel=1e-12, abs=0.0)
+    if center == 0.0:
+        # the two closed forms may differ in the last bit
+        assert log_mass(model, SUP, center, eps) == pytest.approx(
+            sbf_analytic(model, SUP, eps).log_prob, rel=1e-12, abs=0.0)
+
+
 def test_centered_curve_routes():
     model = WienerPath(n_steps=64)
     grid = (0.5, 0.4)

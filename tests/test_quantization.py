@@ -88,13 +88,14 @@ def test_nearest_distance_tiny_exact():
     assert got == pytest.approx([1.0, 0.1], abs=1e-6)
 
 
-def test_nearest_distance_chunking_is_exact():
+def test_nearest_distance_chunking_is_exact(monkeypatch):
     model = WienerPath(n_steps=32)
     book = build_codebook(model, 3.0, RandomStream(81))
     test = model.sample_values(RandomStream(82).generator(), 40)
     base = nearest_distance(test, book, model.dt, SUP)
-    assert np.array_equal(nearest_distance(test, book, model.dt, SUP, chunk=1), base)
-    assert np.array_equal(nearest_distance(test, book, model.dt, SUP, chunk=7), base)
+    for chunk in (1, 7):
+        monkeypatch.setattr(quantization, "SCAN_CHUNK", chunk)
+        assert np.array_equal(nearest_distance(test, book, model.dt, SUP), base)
 
 
 def full_scan(test, codebook, dt, norm_spec, chunk=1024):
@@ -132,7 +133,7 @@ SCAN_NORMS = ("sup", "sup:a=0,b=0.5", "lp:p=2", "lp:p=2,a=0.25,b=0.75", "lp:p=1.
     # hoelder is undefined for degenerate (dt = 0) draws
     if not (SCAN_MODELS[m].dt == 0.0 and n.startswith("hoelder"))
 ])
-def test_screened_search_equals_full_scan(model_name, norm):
+def test_screened_search_equals_full_scan(model_name, norm, monkeypatch):
     model = SCAN_MODELS[model_name]
     spec = parse_norm(norm)
     words = model.sample_values(RandomStream(89).generator(), 60)
@@ -143,7 +144,8 @@ def test_screened_search_equals_full_scan(model_name, norm):
     want = full_scan(test, book, model.dt, spec)
     assert want[3] == 0.0
     for chunk in (1, 7, 1024):
-        assert np.array_equal(nearest_distance(test, book, model.dt, spec, chunk=chunk), want)
+        monkeypatch.setattr(quantization, "SCAN_CHUNK", chunk)
+        assert np.array_equal(nearest_distance(test, book, model.dt, spec), want)
 
 
 @pytest.mark.parametrize("norm", ("lp:p=4", "hoelder:beta=0.25"))
@@ -166,7 +168,8 @@ def test_unscreened_scan_in_capped_slices_equals_full_scan(norm, scan_bytes, mon
     monkeypatch.setattr(quantization, "eval_norm_batch", recording)
     for chunk in (7, 1024):
         sizes.clear()
-        got = nearest_distance(test, book, model.dt, spec, chunk=chunk)
+        monkeypatch.setattr(quantization, "SCAN_CHUNK", chunk)
+        got = nearest_distance(test, book, model.dt, spec)
         assert np.array_equal(got, full_scan(test, book, model.dt, spec))
         # the first evaluation is the starting guess, one codeword per draw
         assert max(sizes[1:]) <= max(scan_bytes, 4 * 33)

@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import kstest, norm as gauss
 
+from smallball import rsbf
 from smallball.errors import ConfigurationError, DataError, DomainError, PowerWarning
 from smallball.estimators import (
     ProbEstimate,
@@ -18,8 +19,9 @@ from smallball.models import BrownianBridge, FiniteSpectrum, Scalar, WienerPath
 from smallball.norms import NormSpec
 from smallball.rsbf import (
     GATE_LOG_LEVEL,
+    NU,
+    SLACK,
     RSBFSample,
-    VerifierConfig,
     abs_moment_norm,
     certify_membership,
     check_doubling,
@@ -39,7 +41,6 @@ from smallball.streams import RandomStream
 from smallball.transfer import band_log_prob
 
 SUP = NormSpec("sup")
-CFG = VerifierConfig()
 
 ELL_SCALAR_1_05 = 1.4199324821566266  # -log(Phi(1.5) - Phi(0.5))
 
@@ -161,13 +162,13 @@ def test_sample_rsbf_transfer_is_deterministic_and_enclosed():
         assert all(s.ell_hat.phi >= phi - 1e-9 for s in panel if s.eps == eps)
 
 
-def test_sample_rsbf_splitting_agrees_with_transfer():
+def test_sample_rsbf_splitting_agrees_with_transfer(monkeypatch):
     # same centers by construction (both draw them from stream.spawn(0))
+    monkeypatch.setattr(rsbf, "PANEL_PATHS", 256)
     model = WienerPath(n_steps=64)
     stream = RandomStream(53)
     exact = sample_rsbf(model, SUP, (0.5,), 12, stream, estimator="transfer")
-    noisy = sample_rsbf(model, SUP, (0.5,), 12, stream, estimator="splitting",
-                        n_per_level=256, n_replicas=2)
+    noisy = sample_rsbf(model, SUP, (0.5,), 12, stream, estimator="splitting")
     for a, b in zip(exact, noisy):
         assert a.center_id == b.center_id
         assert not b.ell_hat.bound
@@ -187,8 +188,9 @@ RSBF_SPLIT_PINS = [
 @pytest.mark.parametrize("workers", ["1", "3"])
 def test_sample_rsbf_splitting_is_pinned(workers, monkeypatch):
     monkeypatch.setenv("SMALLBALL_WORKERS", workers)
+    monkeypatch.setattr(rsbf, "PANEL_PATHS", 128)
     panel = sample_rsbf(WienerPath(n_steps=64), NormSpec("lp", p=2.0), (0.3, 0.2), 4,
-                        RandomStream(45), estimator="splitting", n_per_level=128)
+                        RandomStream(45), estimator="splitting")
     assert [(s.center_id, s.eps) for s in panel] == [(i, e) for i in range(4) for e in (0.3, 0.2)]
     assert [(s.ell_hat.log_prob, s.ell_hat.stderr_log) for s in panel] == RSBF_SPLIT_PINS
     assert not any(s.ell_hat.bound for s in panel)
@@ -206,11 +208,13 @@ RSBF_DEAD_PINS = [
 ]
 
 
-def test_sample_rsbf_dead_centers_are_pinned():
+def test_sample_rsbf_dead_centers_are_pinned(monkeypatch):
+    monkeypatch.setattr(rsbf, "PANEL_PATHS", 16)
+    monkeypatch.setattr(rsbf, "PANEL_MOVES", 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PowerWarning)
         panel = sample_rsbf(WienerPath(n_steps=16), NormSpec("lp", p=2.0), (0.3, 0.15), 6,
-                            RandomStream(2), n_per_level=16, n_moves=2)
+                            RandomStream(2))
     assert [(s.ell_hat.log_prob, s.ell_hat.stderr_log, s.ell_hat.bound)
             for s in panel] == RSBF_DEAD_PINS
 
@@ -260,10 +264,11 @@ def quad_mean_ell(eps):
     return val
 
 
-def test_gauge_mean_matches_quadrature():
+def test_gauge_mean_matches_quadrature(monkeypatch):
+    monkeypatch.setattr(rsbf, "N_BOOT", 100)
     eps = 0.5
     _, panel = exact_scalar_panel((eps,), 4000)
-    gauge = gauge_stats(panel, stream=RandomStream(54), n_boot=100)
+    gauge = gauge_stats(panel, stream=RandomStream(54))
     oracle = quad_mean_ell(eps)
     assert abs(gauge.mean[0] - oracle) < 3.0 * gauge.mean_se[0]
 
@@ -272,24 +277,26 @@ def test_gauge_median_matches_quantile_oracle():
     # ell is increasing in |x|, so its median is ell at the |X| median
     eps = 0.5
     _, panel = exact_scalar_panel((eps,), 4001)
-    gauge = gauge_stats(panel, stream=RandomStream(55), n_boot=400)
+    gauge = gauge_stats(panel, stream=RandomStream(55))
     oracle = float(_scalar_ell_exact(np.asarray(gauss.ppf(0.75)), eps))
     lo, hi = gauge.median_ci[0]
     assert lo <= oracle <= hi
     assert gauge.median[0] == pytest.approx(oracle, rel=0.05)
 
 
-def test_gauge_iqr_matches_quantile_oracle():
+def test_gauge_iqr_matches_quantile_oracle(monkeypatch):
+    monkeypatch.setattr(rsbf, "N_BOOT", 100)
     eps = 0.5
     _, panel = exact_scalar_panel((eps,), 4001)
-    gauge = gauge_stats(panel, stream=RandomStream(56), n_boot=100)
+    gauge = gauge_stats(panel, stream=RandomStream(56))
     q75 = float(_scalar_ell_exact(np.asarray(gauss.ppf(0.875)), eps))
     q25 = float(_scalar_ell_exact(np.asarray(gauss.ppf(0.625)), eps))
     assert gauge.iqr[0] == pytest.approx(q75 - q25, rel=0.08)
     assert gauge.rel_iqr[0] == pytest.approx(gauge.iqr[0] / gauge.median[0], rel=1e-12)
 
 
-def test_gauge_moments_respect_deterministic_bound():
+def test_gauge_moments_respect_deterministic_bound(monkeypatch):
+    monkeypatch.setattr(rsbf, "N_BOOT", 50)
     _, panel = exact_scalar_panel((0.2, 0.1), 800)
     priced = []
 
@@ -297,7 +304,7 @@ def test_gauge_moments_respect_deterministic_bound():
         priced.append(e)
         return scalar_phi(e)
 
-    gauge = gauge_stats(panel, centered=centered, stream=RandomStream(57), n_boot=50)
+    gauge = gauge_stats(panel, centered=centered, stream=RandomStream(57))
     assert priced == [0.1, 0.05]  # each half radius priced once, for every order
     for p in (1, 2):
         for got, cap in zip(gauge.moments[p], gauge.moment_bounds[p]):
@@ -305,10 +312,11 @@ def test_gauge_moments_respect_deterministic_bound():
     assert gauge.mean[1] > gauge.mean[0] and gauge.median[1] > gauge.median[0]
 
 
-def test_gauge_stats_small_panel_warns():
+def test_gauge_stats_small_panel_warns(monkeypatch):
+    monkeypatch.setattr(rsbf, "N_BOOT", 20)
     _, panel = exact_scalar_panel((0.5,), 10)
     with pytest.warns(PowerWarning):
-        gauge_stats(panel, stream=RandomStream(58), n_boot=20)
+        gauge_stats(panel, stream=RandomStream(58))
     with pytest.raises(ConfigurationError):
         gauge_stats([])
 
@@ -320,14 +328,15 @@ def censored_panel(costs, bound_ids, eps=0.5):
             for i, c in enumerate(costs)]
 
 
-def test_gauge_censored_radius_has_no_average():
+def test_gauge_censored_radius_has_no_average(monkeypatch):
     # the deepest of 8 centers is censored: every average is undefined, and
     # every order statistic below it is exact
+    monkeypatch.setattr(rsbf, "N_BOOT", 50)
     costs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PowerWarning)
-        gauge = gauge_stats(censored_panel(costs, {7}), stream=RandomStream(3), n_boot=50)
-        clean = gauge_stats(censored_panel(costs, set()), stream=RandomStream(3), n_boot=50)
+        gauge = gauge_stats(censored_panel(costs, {7}), stream=RandomStream(3))
+        clean = gauge_stats(censored_panel(costs, set()), stream=RandomStream(3))
     for value in (gauge.mean[0], gauge.mean_se[0], gauge.stddev[0],
                   gauge.moments[1][0], gauge.moments[2][0]):
         assert math.isnan(value)
@@ -337,14 +346,15 @@ def test_gauge_censored_radius_has_no_average():
     assert math.isfinite(clean.mean[0]) and math.isfinite(clean.stddev[0])
 
 
-def test_gauge_drops_quantiles_a_censored_cost_could_move():
+def test_gauge_drops_quantiles_a_censored_cost_could_move(monkeypatch):
     # a censored cost of 2 may truly lie anywhere above 2, so the median and
     # quartiles (ranks 2 to 6 of 8) are unknown, while rank 0 stays exact
+    monkeypatch.setattr(rsbf, "N_BOOT", 50)
     costs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PowerWarning)
-        gauge = gauge_stats(censored_panel(costs, {1}), stream=RandomStream(3), n_boot=50)
-        top = gauge_stats(censored_panel(costs, {5, 6, 7}), stream=RandomStream(3), n_boot=50)
+        gauge = gauge_stats(censored_panel(costs, {1}), stream=RandomStream(3))
+        top = gauge_stats(censored_panel(costs, {5, 6, 7}), stream=RandomStream(3))
     for value in (gauge.median[0], *gauge.median_ci[0], gauge.iqr[0], gauge.rel_iqr[0]):
         assert math.isnan(value)
     # three of eight censored at the top: the median (rank 3) stays, the
@@ -386,7 +396,7 @@ def test_enclosure_on_exact_scalar_panel():
     eps_grid = (1.0, 0.5, 0.25)
     curve = scalar_curve((1.0, 0.5, 0.25, 0.125))
     _, panel = exact_scalar_panel(eps_grid, 150)
-    report = verify_enclosure(curve, panel, CFG)
+    report = verify_enclosure(curve, panel)
     assert report.passed
     for row in report.rows_for("lower-envelope"):
         assert row.observed == 0.0
@@ -399,9 +409,9 @@ def test_enclosure_does_not_count_bound_rows_as_undercuts():
     depth = curve.estimates[0].phi
     # a bound only says the cost is at least its value
     panel = censored_panel([depth + 1.0, 0.01, depth + 2.0], {1})
-    assert verify_enclosure(curve, panel, CFG).rows_for("lower-envelope")[0].passed
+    assert verify_enclosure(curve, panel).rows_for("lower-envelope")[0].passed
     panel = censored_panel([depth + 1.0, 0.01, depth + 2.0], set())
-    assert not verify_enclosure(curve, panel, CFG).rows_for("lower-envelope")[0].passed
+    assert not verify_enclosure(curve, panel).rows_for("lower-envelope")[0].passed
 
 
 def test_enclosure_leaves_bound_rows_under_the_cap_undecided():
@@ -409,53 +419,54 @@ def test_enclosure_leaves_bound_rows_under_the_cap_undecided():
     # its radius has no fraction and the trend row touching it decides
     # nothing; a bound row above the cap is above it for sure
     curve = scalar_curve((1.0, 0.5, 0.25))
-    cap = (1.0 + CFG.slack) * 2.0 * scalar_phi(0.25)
+    cap = (1.0 + SLACK) * 2.0 * scalar_phi(0.25)
     wide = censored_panel([0.5, 0.6, 0.7], set(), eps=1.0)
-    report = verify_enclosure(curve, wide + censored_panel([1.0, 1.9, 1.4], {1}), CFG)
+    report = verify_enclosure(curve, wide + censored_panel([1.0, 1.9, 1.4], {1}))
     fracs = [r.observed for r in report.rows_for("two-scale-upper")]
     assert fracs[0] == 1.0 and math.isnan(fracs[1])
     assert [r.passed for r in report.rows_for("two-scale-upper-trend")] == [None]
-    report = verify_enclosure(curve, wide + censored_panel([1.0, cap + 1.0, 1.4], {1}), CFG)
+    report = verify_enclosure(curve, wide + censored_panel([1.0, cap + 1.0, 1.4], {1}))
     assert [r.observed for r in report.rows_for("two-scale-upper")] == [1.0, 2.0 / 3.0]
     assert report.rows_for("two-scale-upper-trend")[0].passed is True
 
 
-def test_gauge_sandwich_is_informational_without_a_mean():
+def test_gauge_sandwich_is_informational_without_a_mean(monkeypatch):
+    monkeypatch.setattr(rsbf, "N_BOOT", 20)
     eps = 0.5
     curve = scalar_curve((eps, eps / math.sqrt(2.0), eps / 2.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PowerWarning)
-        gauge = gauge_stats(censored_panel([1.0, 2.0, 9.0], {2}), stream=RandomStream(3),
-                            n_boot=20)
-    report = verify_gauge_sandwich(curve, gauge, CFG)
+        gauge = gauge_stats(censored_panel([1.0, 2.0, 9.0], {2}), stream=RandomStream(3))
+    report = verify_gauge_sandwich(curve, gauge)
     assert [r.passed for r in report.rows] == [None, None]
 
 
-def test_gauge_sandwich_on_exact_scalar_panel():
+def test_gauge_sandwich_on_exact_scalar_panel(monkeypatch):
+    monkeypatch.setattr(rsbf, "N_BOOT", 50)
     eps = 0.5
     grid = (eps, eps / math.sqrt(2.0), eps / 2.0)
     curve = scalar_curve(grid)
     _, panel = exact_scalar_panel((eps,), 500)
-    gauge = gauge_stats(panel, stream=RandomStream(60), n_boot=50)
-    report = verify_gauge_sandwich(curve, gauge, CFG)
+    gauge = gauge_stats(panel, stream=RandomStream(60))
+    report = verify_gauge_sandwich(curve, gauge)
     assert report.passed
     assert {r.claim for r in report.rows} == {"gauge-lower", "gauge-upper"}
 
 
 def test_doubling_lower_scalar_passes_with_shallow_pairs_set_aside():
     curve = scalar_curve((2.0, 1.0, 0.5, 0.25, 0.125, 0.0625))
-    report = check_doubling(curve, "lower", CFG)
+    report = check_doubling(curve, "lower")
     assert report.passed
     shallow = [r for r in report.rows if "shallow" in r.note]
     assert shallow  # the (1.0, 2.0) pair is over a nearly full ball
     verdict = report.rows_for("doubling-lower")[0]
-    assert verdict.observed <= CFG.nu
+    assert verdict.observed <= NU
 
 
 def test_doubling_upper_fails_for_log_type_curves():
     # scalar depths grow like log(1/eps): the polynomial growth floor must fail
     curve = scalar_curve((0.5, 0.25, 0.125, 0.0625))
-    report = check_doubling(curve, "upper", CFG)
+    report = check_doubling(curve, "upper")
     assert not report.passed
 
 
@@ -468,9 +479,9 @@ def test_doubling_wiener_discrete_ratios_near_four():
         lp = band_log_prob(lo, -lo, model.dt, start=0.0)
         ests.append(ProbEstimate(min(lp, 0.0), 0.0, 0, "analytic"))
     curve = SBFCurve(grid, tuple(ests))
-    assert check_doubling(curve, "lower", CFG).passed
-    assert check_doubling(curve, "upper", CFG).passed
-    ratios = [r.observed for r in check_doubling(curve, "lower", CFG).rows_for("doubling-ratio")]
+    assert check_doubling(curve, "lower").passed
+    assert check_doubling(curve, "upper").passed
+    ratios = [r.observed for r in check_doubling(curve, "lower").rows_for("doubling-ratio")]
     assert all(2.5 < r < 4.5 for r in ratios)
 
 
@@ -478,20 +489,9 @@ def test_doubling_needs_usable_pairs():
     ests = (ProbEstimate(-0.05, 0.0, 0, "analytic"), ProbEstimate(-0.09, 0.0, 0, "analytic"))
     curve = SBFCurve((4.0, 2.0), ests)
     with pytest.raises(ConfigurationError):
-        check_doubling(curve, "lower", CFG)
+        check_doubling(curve, "lower")
     with pytest.raises(ConfigurationError):
-        check_doubling(curve, "sideways", CFG)
-
-
-def test_verifier_config_validation():
-    with pytest.raises(ConfigurationError):
-        VerifierConfig(slack=0.0)
-    with pytest.raises(ConfigurationError):
-        VerifierConfig(nu=0.5)
-    with pytest.raises(ConfigurationError):
-        VerifierConfig(nu_tilde=1.0)
-    with pytest.raises(ConfigurationError):
-        VerifierConfig(k_sigma=0.0)
+        check_doubling(curve, "sideways")
 
 
 # -- membership certificates and shifted sets ---------------------------------------
@@ -510,15 +510,14 @@ def test_certify_membership_path_cases():
     assert dec.ok
     steep = 50.0 * model.grid()
     assert not certify_membership(model, SUP, steep, 0.1, 1.0).ok
-    with pytest.raises(ConfigurationError):
-        certify_membership(model, SUP, draw, 0.5, 3.0, n_knots=1)
+    one_step = WienerPath(n_steps=1)
+    short = one_step.sample_values(RandomStream(61).generator(), 1)[0]
+    with pytest.raises(ConfigurationError):  # a 1-step grid holds fewer than 2 knots
+        certify_membership(one_step, SUP, short, 0.5, 3.0)
 
 
 def test_lipschitz_probe_gate():
-    with pytest.raises(DomainError):
-        lipschitz_probe(Scalar(), SUP, 0.5, 8, (0.5,), RandomStream(62))
-    report = lipschitz_probe(Scalar(), SUP, 0.5, 8, (0.5,), RandomStream(62),
-                             enforce_gate=False)
+    report = lipschitz_probe(Scalar(), SUP, 0.5, 8, (0.5,), RandomStream(62))
     gate = report.rows_for("log-lipschitz-gate")[0]
     assert gate.passed is None and "not met" in gate.note
     assert report.rows_for("log-lipschitz")[0].passed is None

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm as gauss
 
+from smallball import transfer
 from smallball.errors import ConfigurationError, DomainError
 from smallball.estimators import sbf_analytic
 from smallball.models import WienerPath
@@ -29,19 +30,21 @@ def centered_band(eps, n):
     return np.full(n + 1, -eps), np.full(n + 1, eps)
 
 
-def test_single_step_band_matches_gaussian_cdf():
+def test_single_step_band_matches_gaussian_cdf(monkeypatch):
     # two nodes: the sweep reduces to one Gaussian increment integral
+    monkeypatch.setattr(transfer, "CELLS_PER_STEP_SD", 500)  # dx = 0.002
     lo, hi = centered_band(0.05, 1)
-    got = band_log_prob(lo, hi, dt=1.0, start=0.0, dx=0.002)
+    got = band_log_prob(lo, hi, dt=1.0, start=0.0)
     exact = math.log(2.0 * gauss.cdf(0.05) - 1.0)
     assert got == pytest.approx(exact, abs=1e-4)
 
 
-def test_narrow_band_survives_wide_step_kernel():
+def test_narrow_band_survives_wide_step_kernel(monkeypatch):
     # the step kernel is far longer than the spatial grid here; the sweep
     # must keep the grid's length through the convolutions
+    monkeypatch.setattr(transfer, "CELLS_PER_STEP_SD", 500)  # dx = 0.002
     lo, hi = centered_band(0.05, 3)
-    got = band_log_prob(lo, hi, dt=1.0, start=0.0, dx=0.002)
+    got = band_log_prob(lo, hi, dt=1.0, start=0.0)
     assert math.isfinite(got)
     step = 2.0 * gauss.cdf(0.05) - 1.0
     # three steps, band much narrower than the step scale: the position
@@ -88,8 +91,8 @@ def test_profile_translation_invariance():
     dt = 1.0 / 64
     dx = math.sqrt(dt) / 8.0
     c = 3.0 * dx
-    base = band_log_prob(w - 0.5, w + 0.5, dt, start=0.0, dx=dx)
-    moved = band_log_prob(w - 0.5 + c, w + 0.5 + c, dt, start=c, dx=dx)
+    base = band_log_prob(w - 0.5, w + 0.5, dt, start=0.0)
+    moved = band_log_prob(w - 0.5 + c, w + 0.5 + c, dt, start=c)
     assert moved == pytest.approx(base, abs=1e-9)
 
 
@@ -137,8 +140,6 @@ def test_band_validation():
         band_log_profile(np.ones(3), np.zeros(3), 0.1)
     with pytest.raises(DomainError):
         band_log_profile(np.zeros(3), np.ones(3), 0.0)
-    with pytest.raises(ConfigurationError):
-        band_log_profile(np.zeros(3), np.ones(3), 0.1, dx=-1.0)
 
 
 def mixed_bands(n=64, rows=6):
