@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -48,7 +49,7 @@ from .estimators import (
 from .models import BrownianBridge, GaussianModel, Scalar, WienerPath, parse_model
 from .norms import NormSpec, parse_norm
 from .quantization import (
-    build_codebook,
+    Codebook,
     coverage_from_distances,
     distortion_from_distances,
     invert_gauge,
@@ -474,6 +475,8 @@ def _quantize_gauge_inverse(cfg: ExperimentConfig, model: GaussianModel, spec: N
     lo_depth = max(0.1, min(positive) / 8.0) if positive else 0.1
     hi_depth = 1.1 * max(cfg.r_grid) + 1.0
     lo = depth_floor(model, spec)
+    # both inversions start from the same bracket ends: sweep each radius once
+    centered = functools.cache(centered)
     e_top = _eps_for_depth(centered, lo_depth, lo)
     e_bot = _eps_for_depth(centered, hi_depth, lo)
     eps_grid = tuple(np.geomspace(e_top, e_bot, 12))
@@ -492,12 +495,13 @@ def cmd_quantize(cfg: ExperimentConfig, stream: RandomStream):
     rows = []
     results = []
     for j, r in enumerate(cfg.r_grid):
-        book = build_codebook(model, r, stream.spawn(1_000 + j))
+        # batch 0's codebook is drawn on the pool, block by block, like the others
+        book = Codebook(None, r, stream.spawn(1_000 + j), model)
         zs = sample_nearest(model, spec, r, cfg.samples, stream.spawn(2_000 + j), codebook=book)
         res = distortion_from_distances(zs, r, cfg.s)
         results.append(res)
         row = {"model": model.name, "norm": spec.describe(), "s": cfg.s, "r": r,
-               "n_codewords": len(book.entries), "d_hat": res.d_hat,
+               "n_codewords": book.n, "d_hat": res.d_hat,
                "stderr": res.stderr, "n_test": res.n_test}
         for name, q in zip(("z_q05", "z_q25", "z_q50", "z_q75", "z_q95"),
                            res.z_quantiles):

@@ -207,7 +207,7 @@ def _hoelder_batch(seg: np.ndarray, dt: float, beta: float) -> np.ndarray:
 
 
 _SCREEN_STRIDE = 16  # the sup screen reads every 16th node of the interval
-_SCREEN_BLOCK = 4096  # words per screen block; bounds the screen's scratch memory
+SCREEN_BLOCK = 4096  # words per screen block; bounds the screen's scratch memory
 _F32_UNIT = 2.0**-24
 _F64_UNIT = 2.0**-53
 
@@ -219,14 +219,14 @@ def _f32_shrink(roundings: int) -> float:
     return 1.0 - 2.0 * (roundings + 8) * _F32_UNIT
 
 
-def distance_lower_bound(
-    test: np.ndarray, words: np.ndarray, dt: float, spec: NormSpec
-) -> np.ndarray:
-    """Lower bounds lb[i, j] on eval_norm_batch(test[i] - words[j], dt, spec).
+class DistanceScreen:
+    """Lower bounds lb[i, j] on eval_norm_batch(test[i] - words[j], dt, spec)
+    for one batch of test draws, one block of at most SCREEN_BLOCK words per
+    call.
 
-    ``test`` (k, n+1[, d]) and ``words`` (N, n+1[, d]) are the float32 arrays
-    the exact evaluation sees; the (k, N) float32 result bounds the float32
-    value eval_norm_batch returns, not just the real norm:
+    ``test`` (k, n+1[, d]) and the words (N, n+1[, d]) are the float32
+    arrays the exact evaluation sees; the (k, N) float32 bounds hold for the
+    float32 value eval_norm_batch returns, not just the real norm:
 
     * sup: the max of the pointwise modulus over every 16th node of the
       interval, a sup over a subset of the nodes the norm reads;
@@ -237,40 +237,75 @@ def distance_lower_bound(
     Each bound is scaled down by more than the float32 rounding of one exact
     evaluation. Every other norm (lp with p != 2, hoelder, degenerate draws
     with dt == 0) has no screen and gets lb = 0, which keeps every pair.
+
+    The test draws' share of the bound is prepared once, and the scratch of
+    one block serves every later block, so a scan over many blocks neither
+    repeats that work nor allocates per block. A call's result is
+    overwritten by the next call.
     """
-    k, n_words = len(test), len(words)
-    lb = np.zeros((k, n_words), dtype=np.float32)
-    has_screen = spec.kind == "sup" or (spec.kind == "lp" and spec.p == 2.0)
-    if dt == 0.0 or not has_screen:
-        return lb
-    ia, ib = _slice_indices(test.shape[1], dt, spec.interval)
-    d = test.shape[2] if test.ndim == 3 else 1
-    if spec.kind == "sup":
-        t = test[:, ia : ib + 1 : _SCREEN_STRIDE]
-        for a in range(0, n_words, _SCREEN_BLOCK):
+
+    def __init__(self, test: np.ndarray, dt: float, spec: NormSpec):
+        self._k = len(test)
+        self._scratch: dict[str, np.ndarray] = {}
+        self._kind = None
+        if dt == 0.0 or not (spec.kind == "sup" or (spec.kind == "lp" and spec.p == 2.0)):
+            return
+        self._kind = spec.kind
+        ia, ib = _slice_indices(test.shape[1], dt, spec.interval)
+        d = test.shape[2] if test.ndim == 3 else 1
+        if spec.kind == "sup":
+            self._nodes = slice(ia, ib + 1, _SCREEN_STRIDE)
+            self._t = test[:, self._nodes]
+            self._shrink = _f32_shrink(d)
+            return
+        # lp, p = 2: the trapezoid weights of eval_norm_batch, one per coordinate
+        self._nodes = slice(ia, ib + 1)
+        w = np.full(ib - ia + 1, dt)
+        w[[0, -1]] = 0.5 * dt
+        self._w = np.repeat(w, d)
+        t = test[:, ia : ib + 1].reshape(self._k, -1).astype(np.float64)
+        self._tt = (t * t) @ self._w
+        self._tw = t * self._w
+        # over K coordinates the float64 error of tt + cc - 2 tc stays below
+        # (2K + 16) u (tt + cc), since |tc| <= (tt + cc) / 2
+        self._slack = (2 * len(self._w) + 16) * _F64_UNIT
+        self._shrink = _f32_shrink(ib - ia + 1 + d)
+
+    def _buffer(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """A C-contiguous zero-initialized array of this shape over scratch
+        kept between calls, grown when a larger one is asked for."""
+        size = math.prod(shape)
+        flat = self._scratch.get(name)
+        if flat is None or flat.size < size:
+            flat = self._scratch[name] = np.zeros(size, dtype=dtype)
+        return flat[:size].reshape(shape)
+
+    def __call__(self, words: np.ndarray) -> np.ndarray:
+        k, n_words = self._k, len(words)
+        lb = self._buffer("lb", (k, n_words), np.float32)
+        if self._kind is None:
+            return lb  # never written: the bound 0
+        if self._kind == "sup":
             # node-major, so each node is one contiguous (k, block) pass
-            c = words[a : a + _SCREEN_BLOCK, ia : ib + 1 : _SCREEN_STRIDE]
-            c = np.ascontiguousarray(np.moveaxis(c, 1, 0))
-            out = lb[:, a : a + c.shape[1]]
-            for node in range(t.shape[1]):
-                np.maximum(out, _pointwise_modulus(t[:, node, None] - c[node][None]), out=out)
-        lb *= _f32_shrink(d)
+            c = np.ascontiguousarray(np.moveaxis(words[:, self._nodes], 1, 0))
+            lb.fill(0.0)
+            for node in range(self._t.shape[1]):
+                np.maximum(lb, _pointwise_modulus(self._t[:, node, None] - c[node][None]), out=lb)
+            lb *= self._shrink
+            return lb
+        c = self._buffer("c", (n_words, len(self._w)))
+        c[...] = words[:, self._nodes].reshape(n_words, -1)
+        sq = np.matmul(self._tw, c.T, out=self._buffer("sq", (k, n_words)))
+        c *= c  # c is not read again, so its squares take its place
+        total = np.add(self._tt[:, None], (c @ self._w)[None, :],
+                       out=self._buffer("total", (k, n_words)))
+        # sq = total - 2 <t, c> - slack * total, term by term in place
+        sq *= -2.0
+        sq += total
+        total *= self._slack
+        sq -= total
+        np.maximum(sq, 0.0, out=sq)
+        np.sqrt(sq, out=sq)
+        sq *= self._shrink
+        lb[...] = sq
         return lb
-    # lp, p = 2: the trapezoid weights of eval_norm_batch, one per coordinate
-    w = np.full(ib - ia + 1, dt)
-    w[[0, -1]] = 0.5 * dt
-    w = np.repeat(w, d)
-    t = test[:, ia : ib + 1].reshape(k, -1).astype(np.float64)
-    tt = (t * t) @ w
-    tw = t * w
-    # over K coordinates the float64 error of tt + cc - 2 tc stays below
-    # (2K + 16) u (tt + cc), since |tc| <= (tt + cc) / 2
-    slack = (2 * len(w) + 16) * _F64_UNIT
-    shrink = _f32_shrink(ib - ia + 1 + d)
-    for a in range(0, n_words, _SCREEN_BLOCK):
-        c = words[a : a + _SCREEN_BLOCK, ia : ib + 1].reshape(-1, len(w)).astype(np.float64)
-        cc = (c * c) @ w
-        total = tt[:, None] + cc[None, :]
-        sq = total - 2.0 * (tw @ c.T) - slack * total
-        lb[:, a : a + len(c)] = np.sqrt(np.maximum(sq, 0.0)) * shrink
-    return lb

@@ -13,6 +13,7 @@ conditioning on a single draw of it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +21,12 @@ import numpy as np
 from .errors import ConfigurationError, DataError, DomainError, RangeError
 from .estimators import MEMORY_BUDGET, SBFCurve
 from .models import GaussianModel, WienerPath
-from .norms import NormSpec, distance_lower_bound, eval_norm_batch
+from .norms import SCREEN_BLOCK, DistanceScreen, NormSpec, eval_norm_batch
 from .rsbf import K_SIGMA, SLACK, CheckRow, GaugeCurve, Report
 from .streams import RandomStream, keyed_map
 
 REFRESH_EVERY = 64  # test draws served by one codebook draw
-DRAW_BLOCK_BYTES = 2**20  # float64 draw buffer while a codebook is built
+DRAW_BLOCK_BYTES = 2**20  # float64 draw buffer while codewords are drawn
 SCAN_BLOCK_BYTES = 2**24  # float32 differences evaluated at once by the exact scan
 SCAN_CHUNK = 1024  # codewords per block of the screened scan
 Z_QUANTILE_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -33,20 +34,66 @@ Z_QUANTILE_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 @dataclass(frozen=True)
 class Codebook:
-    """n independent model draws (float32 when built here) with the stream
-    that built them."""
+    """The floor(e^r) codewords of rate r and the stream that draws them.
 
-    entries: np.ndarray
+    With ``entries`` the codewords are stored (float32 when
+    ``build_codebook`` stored them). With ``entries=None`` they are drawn
+    from ``stream`` by ``model`` each time ``blocks`` is read, so a scan
+    holds one block of them, never the codebook; the values are those that
+    ``build_codebook`` stores from the same stream.
+    """
+
+    entries: np.ndarray | None
     r: float
     stream: RandomStream
+    model: GaussianModel | None = None
 
     def __post_init__(self):
-        if len(self.entries) != target_size(self.r):
+        n = target_size(self.r)
+        if self.entries is None:
+            if self.model is None:
+                raise ConfigurationError("a codebook without entries needs a model to draw them")
+        elif len(self.entries) != n:
             raise ConfigurationError("entry count must equal floor(e^r)")
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return target_size(self.r)
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The codewords in order, as float32 blocks of at most SCREEN_BLOCK
+        words. A drawn block is the float32 rounding of whole draws of about
+        DRAW_BLOCK_BYTES of float64 each, in row order, so each word equals
+        the rounding of one draw of all n; the next block overwrites it."""
+        if self.entries is not None:
+            e32 = np.asarray(self.entries, dtype=np.float32)
+            for a in range(0, self.n, SCREEN_BLOCK):
+                yield e32[a : a + SCREEN_BLOCK]
+            return
+        model, n = self.model, self.n
+        shape = model.value_shape
+        rows = min(n, SCREEN_BLOCK, max(1, DRAW_BLOCK_BYTES // (8 * math.prod(shape))))
+        stage = np.empty((min(n, SCREEN_BLOCK // rows * rows),) + shape, dtype=np.float32)
+        rng = self.stream.generator()
+        for a in range(0, n, len(stage)):
+            block = stage[: n - a]
+            _draw_into(block, model, rng, rows)
+            yield block
+
+
+def _draw_into(block: np.ndarray, model: GaussianModel, rng: np.random.Generator,
+               rows: int) -> None:
+    """Fill ``block`` in row order with the float32 rounding of model draws
+    of at most ``rows`` rows each. The float64 draw buffers live only for
+    this call, so they are freed while the block is scanned."""
+    buffers = {}
+    if isinstance(model, WienerPath):
+        buffers = {"out": np.empty((rows,) + block.shape[1:]),
+                   "scratch": np.empty((rows, model.n_steps) + block.shape[2:])}
+    for b in range(0, len(block), rows):
+        k = min(rows, len(block) - b)
+        kw = {key: buf[:k] for key, buf in buffers.items()}
+        block[b : b + k] = model.sample_values(rng, k, **kw)
 
 
 @dataclass(frozen=True)
@@ -80,35 +127,27 @@ def build_codebook(
     r: float,
     stream: RandomStream,
 ) -> Codebook:
-    """Draw the floor(e^r) codewords for rate r, stored in float32, the
-    precision ``nearest_distance`` reads.
+    """The floor(e^r) codewords for rate r, drawn as ``Codebook.blocks``
+    draws them and stored whole in float32, the precision
+    ``nearest_distance`` reads.
 
-    The stream is drawn in row order, in blocks of about DRAW_BLOCK_BYTES of
-    float64, and rows are independent, so each entry is the float32 rounding
-    of the row one draw of all n would give. Refuses codebooks whose float32
-    entries would exceed MEMORY_BUDGET bytes; coarsen the model grid or
-    lower r rather than raising the budget blindly.
+    Refuses codebooks whose float32 entries would exceed MEMORY_BUDGET
+    bytes; coarsen the model grid or lower r rather than raising the budget
+    blindly. A scan needs no stored codebook: ``sample_nearest`` draws its
+    codebooks block by block.
     """
     n = target_size(r)
-    shape = model.value_shape
-    row = math.prod(shape)
-    bytes_needed = n * row * np.dtype(np.float32).itemsize
+    bytes_needed = n * math.prod(model.value_shape) * np.dtype(np.float32).itemsize
     if bytes_needed > MEMORY_BUDGET:
         raise ConfigurationError(
             f"codebook at r={r:g} needs {bytes_needed / 2**20:.0f} MiB of float32 entries, "
             f"over the {MEMORY_BUDGET / 2**20:.0f} MiB budget"
         )
-    entries = np.empty((n,) + shape, dtype=np.float32)
-    rows = min(n, max(1, DRAW_BLOCK_BYTES // (8 * row)))
-    buffers = {}
-    if isinstance(model, WienerPath):
-        buffers = {"out": np.empty((rows,) + shape),
-                   "scratch": np.empty((rows, model.n_steps) + shape[1:])}
-    rng = stream.generator()
-    for a in range(0, n, rows):
-        k = min(rows, n - a)
-        kw = {key: buf[:k] for key, buf in buffers.items()}
-        entries[a : a + k] = model.sample_values(rng, k, **kw)
+    entries = np.empty((n,) + model.value_shape, dtype=np.float32)
+    a = 0
+    for block in Codebook(None, r, stream, model).blocks():
+        entries[a : a + len(block)] = block
+        a += len(block)
     return Codebook(entries, r, stream)
 
 
@@ -121,32 +160,37 @@ def nearest_distance(
     """Exact nearest-codeword distance per test draw, by screened search.
 
     Distances are evaluated in single precision (the distance extrema are
-    far above float32 granularity). A screen first gives every (test,
-    codeword) pair a cheap lower bound on that float32 distance
-    (``distance_lower_bound``: a sup over every 16th node for sup norms, a
-    Gram expansion for lp:p=2, and 0 for norms without a screen). The exact
-    distance at each draw's smallest bound starts the search; then, in
-    blocks of SCAN_CHUNK codewords, only pairs whose bound does not exceed the
-    best exact distance so far are evaluated. A pair left out has a bound,
-    hence an exact distance, above a distance already found, so the minimum
-    is the one a full scan returns, bit for bit, for every chunk size. The
-    kept pairs of a block are evaluated in slices of at most
-    SCAN_BLOCK_BYTES of differences, which bounds the scratch memory where
-    no screen prunes; a minimum does not depend on the order.
+    far above float32 granularity), one block of ``codebook.blocks()`` at a
+    time, so neither the codebook nor a bound matrix is ever held whole. A
+    screen (``DistanceScreen``) gives every (test, codeword) pair of a block
+    a cheap lower bound on that float32 distance: a sup over every 16th node
+    for sup norms, a Gram expansion for lp:p=2, and 0 for norms without a
+    screen. The exact distance at each draw's smallest bound in the first
+    block starts the search; then, in chunks of SCAN_CHUNK codewords, only
+    pairs whose bound does not exceed the best distance so far are
+    evaluated. A pair left out has a bound, hence an exact distance, above a
+    distance already found, so the minimum is the one a full scan returns,
+    bit for bit, for every block and chunk size. The kept pairs of a chunk
+    are evaluated in slices of at most SCAN_BLOCK_BYTES of differences,
+    which bounds the scratch memory where no screen prunes; a minimum does
+    not depend on the order.
     """
     t32 = np.asarray(test, dtype=np.float32)
-    e32 = np.asarray(codebook.entries, dtype=np.float32)
-    lb = distance_lower_bound(t32, e32, dt, norm_spec)
-    guess = e32[lb.argmin(axis=1)]
-    best = eval_norm_batch(t32 - guess, dt, norm_spec).astype(np.float64)
     per_slice = max(1, SCAN_BLOCK_BYTES // (4 * math.prod(t32.shape[1:])))
-    for a in range(0, codebook.n, SCAN_CHUNK):
-        i, j = np.nonzero(lb[:, a : a + SCAN_CHUNK] <= best[:, None])
-        for b in range(0, len(i), per_slice):
-            ib, jb = i[b : b + per_slice], j[b : b + per_slice]
-            diff = t32[ib]
-            diff -= e32[a + jb]
-            np.minimum.at(best, ib, eval_norm_batch(diff, dt, norm_spec))
+    screen = DistanceScreen(t32, dt, norm_spec)
+    best = None
+    for words in codebook.blocks():
+        lb = screen(words)
+        if best is None:
+            guess = words[lb.argmin(axis=1)]
+            best = eval_norm_batch(t32 - guess, dt, norm_spec).astype(np.float64)
+        for a in range(0, len(words), SCAN_CHUNK):
+            i, j = np.nonzero(lb[:, a : a + SCAN_CHUNK] <= best[:, None])
+            for b in range(0, len(i), per_slice):
+                ib, jb = i[b : b + per_slice], j[b : b + per_slice]
+                diff = t32[ib]
+                diff -= words[a + jb]
+                np.minimum.at(best, ib, eval_norm_batch(diff, dt, norm_spec))
     return best
 
 
@@ -160,11 +204,13 @@ def sample_nearest(
 ) -> np.ndarray:
     """Nearest-codeword distances for n_test fresh draws at rate r.
 
-    Every REFRESH_EVERY draws get a freshly built codebook (the first batch
-    uses ``codebook`` when given), so the sample averages over codebook
+    Every REFRESH_EVERY draws get a fresh codebook (the first batch uses
+    ``codebook`` when given), so the sample averages over codebook
     randomness as the definition demands. The test draws come in order from
     one stream, and batch j's codebook from its own keyed stream, so the
-    batches run on the pool (``keyed_map``) without changing a value.
+    batches run on the pool (``keyed_map``) without changing a value. Fresh
+    codebooks are drawn block by block as they are scanned, so the memory
+    held is one codeword block per pool worker at any rate.
     """
     if n_test < 1:
         raise ConfigurationError("n_test must be >= 1")
@@ -177,7 +223,7 @@ def sample_nearest(
         if j == 0 and codebook is not None:
             book = codebook
         else:
-            book = build_codebook(model, r, book_stream.spawn(j))
+            book = Codebook(None, r, book_stream.spawn(j), model)
         return nearest_distance(tests[j], book, model.dt, norm_spec)
 
     return np.concatenate(keyed_map(batch, range(len(tests))))

@@ -1,7 +1,9 @@
 """The benchmark tracer (bench/tracing.py) still finds every function it
-wraps, and the wrapped layers still count work on a small splitting run and
-a small quantize run. A rename or a bypassed call would otherwise leave
-``bench/run.py --trace 1`` reporting zeros without an error."""
+wraps, and the wrapped layers still count work on a small splitting run, a
+small quantize run and a stored codebook (``quantize`` draws its codewords
+inside the scan, so only the library builds one). A rename or a bypassed
+call would otherwise leave ``bench/run.py --trace 1`` reporting zeros
+without an error."""
 import json
 import subprocess
 import sys
@@ -14,7 +16,10 @@ import json, sys, warnings
 sys.path[:0] = [{src!r}, {bench!r}]
 warnings.simplefilter("ignore")
 import smallball.cli as cli
+import smallball.quantization as quantization
 import tracing
+from smallball.models import WienerPath
+from smallball.streams import RandomStream
 
 tracer = tracing.Tracer()
 tracer.install()
@@ -31,6 +36,7 @@ codes = [
     cli.main(["quantize", "--model", "wiener:n=32", "--norm", "sup", "--r-grid", "2,3",
               "--samples", "128", "--centers", "8", "--seed", "1", "--out", {q_out!r}]),
 ]
+quantization.build_codebook(WienerPath(n_steps=32), 2.0, RandomStream(1))
 print(json.dumps({{"codes": codes, "unwrapped": unwrapped, "layers": tracer.summary()}}))
 """
 
@@ -46,5 +52,6 @@ def test_tracer_wraps_every_target_and_counts_work(tmp_path):
     assert result["codes"][0] == 0 and result["codes"][1] in (0, 3)
     layers = result["layers"]
     for key in ("models.normals", "norms.nodes", "estimators.ladder_levels",
-                "quantization.codewords", "transfer.sweeps", "cli.inversion_sweeps"):
+                "quantization.codewords", "quantization.pair_nodes", "transfer.sweeps",
+                "cli.inversion_sweeps"):
         assert layers[key] > 0, key

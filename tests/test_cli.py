@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -11,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smallball import cli
+from smallball import cli, estimators, quantization
 from smallball.errors import ConfigurationError, DataError, PowerWarning, RangeError
 from smallball.estimators import centered_depth, depth_floor, sbf_analytic
 from smallball.models import BrownianBridge, Scalar, WienerPath
 from smallball.norms import parse_norm
-from smallball.streams import keyed_map
+from smallball.streams import RandomStream, keyed_map
 
 
 def ns(experiment, **kw):
@@ -456,6 +457,46 @@ def test_quantize_scans_each_rate_once(tmp_path, monkeypatch):
     assert calls == [2.0, 4.0]
     header, *rows = (out / "quantize.csv").read_text().splitlines()
     assert any(dict(zip(header.split(","), r.split(",")))["coverage_rate"] for r in rows)
+
+
+def tables_digest(out: Path) -> str:
+    """sha256 over a run's output files, as bench/run.py digests them."""
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def test_quantize_sweeps_each_centered_radius_once(tmp_path, monkeypatch):
+    # the quantize-sup benchmark run at its seed 0, and the digest of its tables
+    argv = ["quantize", "--model", "wiener:n=256", "--norm", "sup", "--r-grid", "4,8",
+            "--s", "2", "--seed", "3", "--out", str(tmp_path / "q")]
+    radii = []
+    real = estimators.log_mass
+
+    def counted(model, norm_spec, centers, eps):
+        radii.append(eps)
+        return real(model, norm_spec, centers, eps)
+
+    monkeypatch.setattr(estimators, "log_mass", counted)
+    assert cli.main(argv) == 0
+    # both depth inversions start from the bracket ends 50 and depth_floor
+    assert {50.0, depth_floor(WienerPath(256), parse_norm("sup"))} <= set(radii)
+    assert len(radii) == len(set(radii))
+    assert tables_digest(tmp_path / "q") == (
+        "d9d52bdf26af4ce9cec22e9bf2eed5e36d64a7fb333495f6266e88c648e0a916")
+
+
+def test_quantize_draws_codebooks_over_the_memory_budget(tmp_path, monkeypatch):
+    argv = ["quantize", "--model", "wiener:n=16", "--norm", "lp:p=2", "--r-grid", "6",
+            "--samples", "128", "--seed", "4", "--out"]
+    assert cli.main(argv + [str(tmp_path / "free")]) == 0
+    # floor(e^6) = 403 words of 17 float32 nodes: one byte short of one codebook
+    monkeypatch.setattr(quantization, "MEMORY_BUDGET", 403 * 17 * 4 - 1)
+    with pytest.raises(ConfigurationError, match="budget"):
+        quantization.build_codebook(WienerPath(16), 6.0, RandomStream(4))
+    assert cli.main(argv + [str(tmp_path / "capped")]) == 0
+    assert tables_digest(tmp_path / "capped") == tables_digest(tmp_path / "free")
 
 
 def test_eps_for_depth_inverts_to_tight_tolerance():

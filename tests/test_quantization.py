@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from smallball import quantization
 from smallball.errors import ConfigurationError, DataError, DomainError, RangeError
 from smallball.estimators import ProbEstimate, SBFCurve
 from smallball.models import BrownianBridge, FiniteSpectrum, Scalar, WienerPath
-from smallball.norms import NormSpec, distance_lower_bound, eval_norm_batch, parse_norm
+from smallball.norms import DistanceScreen, NormSpec, eval_norm_batch, parse_norm
 from smallball.quantization import (
     REFRESH_EVERY,
     Codebook,
@@ -82,6 +83,15 @@ def test_codebook_rejects_wrong_count():
         Codebook(np.zeros(3), 2.0, RandomStream(0))
 
 
+def test_drawn_codebook_needs_a_model():
+    book = Codebook(None, 3.0, RandomStream(0), WienerPath(n_steps=8))
+    assert book.n == 20
+    with pytest.raises(ConfigurationError, match="needs a model"):
+        Codebook(None, 3.0, RandomStream(0))
+    with pytest.raises(ConfigurationError):
+        Codebook(None, -1.0, RandomStream(0), WienerPath(n_steps=8))
+
+
 def test_nearest_distance_tiny_exact():
     book = Codebook(np.array([-1.0, 3.0]), R_TWO_WORDS, RandomStream(0))
     got = nearest_distance(np.array([0.0, 2.9]), book, 0.0, SUP)
@@ -128,11 +138,14 @@ SCAN_NORMS = ("sup", "sup:a=0,b=0.5", "lp:p=2", "lp:p=2,a=0.25,b=0.75", "lp:p=1.
               "hoelder:beta=0.25")
 
 
-@pytest.mark.parametrize("model_name, norm", [
+SCAN_PAIRS = [
     (m, n) for m in sorted(SCAN_MODELS) for n in SCAN_NORMS
     # hoelder is undefined for degenerate (dt = 0) draws
     if not (SCAN_MODELS[m].dt == 0.0 and n.startswith("hoelder"))
-])
+]
+
+
+@pytest.mark.parametrize("model_name, norm", SCAN_PAIRS)
 def test_screened_search_equals_full_scan(model_name, norm, monkeypatch):
     model = SCAN_MODELS[model_name]
     spec = parse_norm(norm)
@@ -188,7 +201,7 @@ def test_screen_bound_holds_under_cancellation(d, norm):
     book = book_of(50.0 + test[np.arange(300) % 8] + noise)
     test = 50.0 + test
     t32, e32 = test.astype(np.float32), book.entries.astype(np.float32)
-    lb = distance_lower_bound(t32, e32, model.dt, spec)
+    lb = DistanceScreen(t32, model.dt, spec)(e32)
     diff = t32[:, None, ...] - e32[None, ...]
     exact = eval_norm_batch(diff.reshape((-1,) + diff.shape[2:]), model.dt, spec)
     exact = exact.reshape(len(test), book.n)
@@ -197,6 +210,52 @@ def test_screen_bound_holds_under_cancellation(d, norm):
     assert np.all(lb > (0.9 if spec.kind == "lp" else 0.0) * exact)
     assert np.array_equal(nearest_distance(test, book, model.dt, spec),
                           full_scan(test, book, model.dt, spec))
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("model_name, norm", SCAN_PAIRS)
+def test_streamed_batches_equal_scans_of_stored_codebooks(model_name, norm, workers,
+                                                          monkeypatch):
+    # floor(e^8.4) = 4447 words: a full screen block, then a partial one;
+    # five draws per refresh make three batches (5, 5, 2) on up to 3 workers
+    monkeypatch.setenv("SMALLBALL_WORKERS", workers)
+    monkeypatch.setattr(quantization, "REFRESH_EVERY", 5)
+    model, spec = SCAN_MODELS[model_name], parse_norm(norm)
+    stream, r = RandomStream(94), 8.4
+    test_rng = stream.spawn(0).generator()
+    want = np.concatenate([
+        nearest_distance(model.sample_values(test_rng, k),
+                         build_codebook(model, r, stream.spawn(1).spawn(j)), model.dt, spec)
+        for j, k in enumerate((5, 5, 2))
+    ])
+    row_bytes = 8 * math.prod(model.value_shape)
+    # draws of one row, of seven rows, and of the default 1 MiB
+    for draw_bytes in (row_bytes, 7 * row_bytes, quantization.DRAW_BLOCK_BYTES):
+        monkeypatch.setattr(quantization, "DRAW_BLOCK_BYTES", draw_bytes)
+        assert np.array_equal(sample_nearest(model, spec, r, 12, stream), want)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees allocated while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sample_nearest_memory_does_not_grow_with_the_rate(workers, monkeypatch):
+    # 22,026 codewords at r = 10 and 162,754 at r = 12; held whole, the
+    # float32 words and bounds of one r = 12 batch alone take 50 MiB
+    monkeypatch.setenv("SMALLBALL_WORKERS", workers)
+    model, spec = WienerPath(n_steps=16), parse_norm("lp:p=2")
+    peak = {r: traced_peak(lambda: sample_nearest(model, spec, r, 128, RandomStream(95)))
+            for r in (10.0, 12.0)}
+    assert abs(peak[12.0] - peak[10.0]) <= 0.1 * peak[10.0]
+    if workers == "1":
+        assert peak[12.0] < 20 * 2**20
 
 
 def test_sample_nearest_first_batch_reproducible():
