@@ -38,6 +38,8 @@ METHODS = ("analytic", "mc", "splitting")
 ROUTES = ("analytic", "transfer", "mc", "splitting")
 MC_BLOCK_BYTES = 2**22  # float64 draws held at once by plain Monte Carlo and the pilot
 MEMORY_BUDGET = 512 * 2**20  # bytes a codebook or the live splitting replicas may hold
+SPLIT_BLOCK_BYTES = 2**18  # float64 paths a splitting move works on at once
+BLOCK_SCRATCH = 6  # blocks of scratch a splitting replica counts beside its two ensembles
 RHO = 0.95  # pCN correlation of a splitting move
 N_MOVES = 10  # pCN moves per level of a centered or single-ball ladder
 CURVE_PATHS = 512  # splitting paths per level of a centered curve's replica
@@ -438,6 +440,21 @@ def make_ladder(
     return levels
 
 
+def _row_blocks(n_centers: int, n_per_level: int, row_bytes: int) -> list[tuple[int, int]]:
+    """The row spans [r0, r1) of a splitting move's blocks over the
+    ensemble's center-major rows: as many whole centers as fit in
+    SPLIT_BLOCK_BYTES, or, when one center's paths do not, even slices of
+    one center, of at least one path each."""
+    rows = max(1, SPLIT_BLOCK_BYTES // row_bytes)
+    if rows >= n_per_level:
+        step = rows // n_per_level * n_per_level
+        return [(r, min(r + step, n_centers * n_per_level))
+                for r in range(0, n_centers * n_per_level, step)]
+    step = -(-n_per_level // -(-n_per_level // rows))
+    return [(b * n_per_level + i, b * n_per_level + min(i + step, n_per_level))
+            for b in range(n_centers) for i in range(0, n_per_level, step)]
+
+
 def _splitting_pass(
     model: GaussianModel,
     norm_spec: NormSpec,
@@ -456,46 +473,58 @@ def _splitting_pass(
     against sample batches of shape (B, N, ...).
     Returns (recorded log-probs (B, n_anchors), variances, dead mask, diag).
 
-    The replica allocates its arrays once: every move draws into the same
-    fresh-path buffer, builds the proposal RHO X + s F in place and copies
-    the accepted rows back. Each value is rounded as with fresh arrays, so
-    the results do not depend on the buffering.
+    The replica holds two ensemble-sized float64 arrays: the paths X and
+    the target each level's resampling gathers into, after which the two
+    swap roles. The level-0 entry and every pCN move run over the blocks
+    of ``_row_blocks``, each done before the next starts: fresh paths drawn
+    into block scratch, the proposal RHO X + s F, its distance to each
+    row's own center, and the accepted rows copied into X. Every model
+    fills its rows in order from one normal stream, the norm reduces each
+    row alone and the accept step is elementwise, so the results do not
+    depend on the block size.
     """
-    B = batch_shape[0]
-    N = n_per_level
+    B, N = batch_shape
     s = math.sqrt(1.0 - RHO * RHO)
-
-    # level 0: plain MC entry
-    X0 = model.sample_values(rng, B * N)
-    flat_shape = X0.shape
-    X = X0.reshape((B, N) + flat_shape[1:])
-    F = np.empty_like(X)  # fresh draws, then s F
-    P = np.empty_like(X)  # proposals
-    mask_shape = (B, N) + (1,) * (X.ndim - 2)  # an accept mask broadcast over nodes
+    shape = model.value_shape
+    spans = _row_blocks(B, N, 8 * math.prod(shape))
+    rows = max(r1 - r0 for r0, r1 in spans)
+    X = np.empty((B * N,) + shape)
+    # rows of centers that died are not gathered; zeros keep them finite
+    Y = np.zeros(X.shape)
+    F = np.empty((rows,) + shape)  # fresh draws, then s F
+    P = np.empty_like(F)  # proposals
+    mask_tail = (1,) * len(shape)  # an accept mask broadcast over nodes
     if isinstance(model, WienerPath):
-        # the increments borrow the proposal buffer, free until P is built
-        inc_shape = (B * N, model.n_steps) + flat_shape[2:]
-        inc = P.reshape(-1)[: math.prod(inc_shape)].reshape(inc_shape)
+        inc = np.empty((rows, model.n_steps) + shape[1:])
 
-        def draw_fresh() -> None:
-            model.sample_values(rng, B * N, out=F.reshape(flat_shape), scratch=inc)
+        def draw(out: np.ndarray) -> None:
+            model.sample_values(rng, len(out), out=out, scratch=inc[:len(out)])
     else:
-        def draw_fresh() -> None:
-            F.reshape(flat_shape)[...] = model.sample_values(rng, B * N)
+        def draw(out: np.ndarray) -> None:
+            out[...] = model.sample_values(rng, len(out))
 
+    # the norm's input for each block: the proposals, or their offsets from
+    # the block's centers, which span whole centers or lie within one
     if np.ndim(centers) == 0 and centers == 0:
-        def distances(Y: np.ndarray) -> np.ndarray:
-            return eval_norm_batch(Y.reshape(flat_shape), model.dt, norm_spec).reshape(B, N)
+        def distances(Z: np.ndarray, r0: int) -> np.ndarray:
+            return eval_norm_batch(Z, model.dt, norm_spec)
     else:
-        offset = np.empty_like(X)
+        offset = np.empty_like(F)
         c = np.asarray(centers)
-        c = c.reshape((B, 1) + c.shape[1:]) if c.ndim > 0 else c
+        c = c.reshape((B, 1) + shape) if c.ndim > 0 else c
 
-        def distances(Y: np.ndarray) -> np.ndarray:
-            np.subtract(Y, c, out=offset)
-            return eval_norm_batch(offset.reshape(flat_shape), model.dt, norm_spec).reshape(B, N)
+        def distances(Z: np.ndarray, r0: int) -> np.ndarray:
+            b0, b1 = r0 // N, -(-(r0 + len(Z)) // N)
+            by_center = (b1 - b0, len(Z) // (b1 - b0)) + shape
+            np.subtract(Z.reshape(by_center), c[b0:b1] if c.ndim else c,
+                        out=offset[:len(Z)].reshape(by_center))
+            return eval_norm_batch(offset[:len(Z)], model.dt, norm_spec)
 
-    d = distances(X)
+    d = np.empty((B, N))
+    d_rows = d.reshape(-1)
+    for r0, r1 in spans:
+        draw(X[r0:r1])
+        d_rows[r0:r1] = distances(X[r0:r1], r0)
     n_anchors = len(record_at)
     rec_log = np.full((B, n_anchors), np.nan)
     rec_var = np.full((B, n_anchors), np.nan)
@@ -536,20 +565,24 @@ def _splitting_pass(
             idx = np.flatnonzero(surv[b])
             take = idx[rng.integers(0, len(idx), N)]
             # mode="clip" (the indices are in range) writes to out unbuffered
-            X[b] = np.take(X[b], take, axis=0, out=P[b], mode="clip")
+            np.take(X[b * N:(b + 1) * N], take, axis=0, out=Y[b * N:(b + 1) * N], mode="clip")
             d[b] = d[b][take]
+        X, Y = Y, X
         acc_count = 0
         alive = ~dead
+        live_rows = np.repeat(alive, N)
         for _ in range(n_moves):
-            draw_fresh()
-            np.multiply(X, RHO, out=P)
-            F *= s
-            P += F
-            dp = distances(P)
-            ok = (dp <= hi) & alive[:, None]
-            np.copyto(X, P, where=ok.reshape(mask_shape))
-            d[ok] = dp[ok]
-            acc_count += int(ok.sum())
+            for r0, r1 in spans:
+                xb, fb, pb = X[r0:r1], F[:r1 - r0], P[:r1 - r0]
+                draw(fb)
+                np.multiply(xb, RHO, out=pb)
+                fb *= s
+                pb += fb
+                dp = distances(pb, r0)
+                ok = (dp <= hi) & live_rows[r0:r1]
+                np.copyto(xb, pb, where=ok.reshape(ok.shape + mask_tail))
+                np.copyto(d_rows[r0:r1], dp, where=ok)
+                acc_count += int(np.count_nonzero(ok))
         denom = max(1, int(alive.sum()) * N * n_moves)
         accs.append(acc_count / denom)
         p = (d <= lo).mean(axis=1)
@@ -590,18 +623,23 @@ def _replica_estimates(
 
     Fewer replicas than twice the pool width each get a thread, so that
     3 replicas on 2 cores share them instead of the third running alone
-    while a core idles; more run on the pool width. Oversubscribing is
-    cheap here because a move spends its time in numpy calls that release
-    the GIL (Philox normals, cumsum, the proposal and the norm), and each
-    replica reads its own keyed stream, so the thread count moves no value.
+    while a core idles; more run on the pool width. Oversubscribing pays
+    because a move spends its time in numpy calls that release the GIL
+    (Philox normals, cumsum, the proposal and the norm); the threads of
+    small blocks trade the GIL often, which costs some wall time, but less
+    than the idle core would. Each replica reads its own keyed stream, so
+    the thread count moves no value.
 
-    A replica holds float64 buffers X, F, P and, around nonzero centers,
-    the offsets, each (centers, n_per_level, nodes). A replica over
-    MEMORY_BUDGET bytes is refused before any draw; otherwise at most as
-    many replicas run at a time as fit in the budget."""
+    A replica holds two float64 arrays of (centers, n_per_level, nodes),
+    the paths and the resampling target, and counts BLOCK_SCRATCH blocks of
+    ``_row_blocks`` rows for the work of one block: fresh draws, proposals,
+    increments or offsets, and the temporaries of the draw and the norm. A
+    replica over MEMORY_BUDGET bytes is refused before any draw; otherwise
+    at most as many replicas run at a time as fit in the budget."""
     n_centers = 1 if np.ndim(centers) == 0 else len(centers)
-    n_buffers = 3 if np.ndim(centers) == 0 and centers == 0 else 4
-    per_replica = 8 * n_buffers * n_centers * n_per_level * math.prod(model.value_shape)
+    row_bytes = 8 * math.prod(model.value_shape)
+    block_rows = max(r1 - r0 for r0, r1 in _row_blocks(n_centers, n_per_level, row_bytes))
+    per_replica = row_bytes * (2 * n_centers * n_per_level + BLOCK_SCRATCH * block_rows)
     if per_replica > MEMORY_BUDGET:
         raise ConfigurationError(
             f"a splitting replica needs {per_replica / 2**20:.0f} MiB of float64 buffers, "

@@ -661,9 +661,9 @@ def test_verify_all_skips_doubling_upper_on_a_finite_spectrum(tmp_path):
 
 
 def test_splitting_refuses_replicas_over_the_memory_budget(tmp_path, capsys):
-    # 64 centers of wiener:n=1024 hold 769 MiB of buffers per live replica
+    # 128 centers of wiener:n=1024 hold 770 MiB of buffers per live replica
     code = cli.main(["rsbf", "--model", "wiener:n=1024", "--norm", "lp:p=2",
-                     "--estimator", "splitting", "--centers", "64", "--eps", "0.3",
+                     "--estimator", "splitting", "--centers", "128", "--eps", "0.3",
                      "--seed", "1", "--out", str(tmp_path / "m")])
     assert code == 1
     lines = capsys.readouterr().err.splitlines()

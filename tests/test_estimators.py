@@ -1,10 +1,12 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import norm as gauss
 
-from smallball import estimators
+from smallball import estimators, rsbf
 from smallball.errors import ConfigurationError, DomainError, LadderError, PowerWarning
 from smallball.estimators import (
     COMMANDS,
@@ -27,7 +29,7 @@ from smallball.estimators import (
     sbf_curve,
 )
 from smallball.models import BrownianBridge, FiniteSpectrum, Scalar, WienerPath
-from smallball.norms import NormSpec, parse_norm
+from smallball.norms import NormSpec, eval_norm_batch, parse_norm
 from smallball.streams import RandomStream, keyed_map
 from smallball.transfer import band_log_prob, band_log_probs, transfer_applies
 
@@ -364,17 +366,18 @@ def test_splitting_validation():
 
 
 def test_splitting_checks_its_buffers_against_the_memory_budget(monkeypatch):
-    # 10^5 paths of wiener:n=4096 would take 9.2 GiB of buffers per replica;
+    # 10^5 paths of wiener:n=4096 would take 6.1 GiB of buffers per replica;
     # the refusal comes before the first draw, whatever the pool width
     model = WienerPath(n_steps=4096)
     with monkeypatch.context() as m:
         m.setattr(WienerPath, "sample_values", lambda *a, **k: pytest.fail("drew"))
         for workers in ("1", "2", "8"):
             m.setenv("SMALLBALL_WORKERS", workers)
-            with pytest.raises(ConfigurationError, match="a splitting replica needs 9377 MiB"):
+            with pytest.raises(ConfigurationError, match="a splitting replica needs 6253 MiB"):
                 ball_prob_splitting(model, SUP, 0.5, [1.0, 0.5], 100_000, RandomStream(0))
-    # a budget that holds one replica's 3 x 64 x 65 float64 buffers runs the
-    # replicas one at a time, to the same values as the full pool
+    # a budget that holds one replica's two 64 x 65 float64 ensembles and
+    # BLOCK_SCRATCH blocks of scratch (one block is the whole ensemble here)
+    # runs the replicas one at a time, to the same values as the full pool
     monkeypatch.setenv("SMALLBALL_WORKERS", "3")
     small = WienerPath(n_steps=64)
     want = ball_prob_splitting(small, SUP, 0.5, [1.0, 0.5], 64, RandomStream(5), n_replicas=3)
@@ -385,10 +388,110 @@ def test_splitting_checks_its_buffers_against_the_memory_budget(monkeypatch):
         return keyed_map(fn, tasks, workers)
 
     monkeypatch.setattr(estimators, "keyed_map", spy)
-    monkeypatch.setattr(estimators, "MEMORY_BUDGET", 8 * 3 * 64 * 65)
+    monkeypatch.setattr(estimators, "MEMORY_BUDGET",
+                        8 * 65 * (2 * 64 + estimators.BLOCK_SCRATCH * 64))
     got = ball_prob_splitting(small, SUP, 0.5, [1.0, 0.5], 64, RandomStream(5), n_replicas=3)
     assert widths == [1]
     assert got == want
+
+
+BLOCK_CASES = {
+    "wiener-lp2": (WienerPath(n_steps=16), parse_norm("lp:p=2")),
+    "wiener-d2-sup": (WienerPath(n_steps=8, d=2), SUP),
+    "bridge-hoelder": (BrownianBridge(n_steps=16), parse_norm("hoelder:beta=0.25")),
+    "finite-lp2": (FiniteSpectrum((1.0, 0.5, 0.25)), parse_norm("lp:p=2")),
+    "scalar-sup": (Scalar(), SUP),
+}
+
+
+def _paths_bytes(model, paths: int) -> int:
+    return 8 * math.prod(model.value_shape) * paths
+
+
+def _quantile_ladder(model, spec, centers, seed: int) -> list[float]:
+    # radii where 90% down to 1% of draws fall inside, pooled over the centers
+    draws = model.sample_values(RandomStream(seed).generator(), 2000)
+    d = np.concatenate([eval_norm_batch(draws - c, model.dt, spec)
+                        for c in np.reshape(centers + np.zeros(model.value_shape),
+                                            (-1,) + model.value_shape)])
+    return [float(q) for q in np.quantile(d, [0.9, 0.5, 0.2, 0.05, 0.01])]
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+@pytest.mark.parametrize("n_centers", [0, 3])
+def test_splitting_pass_does_not_depend_on_the_block_size(case, n_centers, monkeypatch):
+    # blocks of one path and of seven cut each center's 10 paths into slices,
+    # and seven-path blocks take two whole centers of 3 paths at a time; the
+    # deep levels kill some centers, whose rows are then never gathered
+    model, spec = BLOCK_CASES[case]
+    centers = 0.0 if n_centers == 0 else \
+        model.sample_values(RandomStream(40).generator(), n_centers)
+    levels = _quantile_ladder(model, spec, centers, 41)
+    record = {levels[2]: 0, levels[-1]: 1}
+
+    def run(n_per_level):
+        return estimators._splitting_pass(
+            model, spec, centers, levels, n_per_level, RandomStream(42).generator(), 4,
+            (max(n_centers, 1), n_per_level), record, strict=False)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PowerWarning)
+        for n_per_level in (10, 3):
+            want = run(n_per_level)
+            for paths in (1, 7):
+                monkeypatch.setattr(estimators, "SPLIT_BLOCK_BYTES", _paths_bytes(model, paths))
+                got = run(n_per_level)
+                monkeypatch.undo()
+                for g, w in zip(got[:3], want[:3]):
+                    np.testing.assert_array_equal(g, w)
+                assert got[3] == want[3]
+
+
+@pytest.mark.parametrize("case", ["wiener-lp2", "finite-lp2"])
+def test_splitting_estimates_do_not_depend_on_the_block_size(case, monkeypatch):
+    model, spec = BLOCK_CASES[case]
+    center = model.sample_values(RandomStream(43).generator(), 1)[0]
+    monkeypatch.setattr(rsbf, "PANEL_PATHS", 12)
+
+    def run():
+        ests = [ball_prob_splitting(model, spec, levels[-1], levels, 10, RandomStream(44), c)
+                for c, levels in ((None, centered_levels), (center, shifted_levels))]
+        return ests, rsbf.sample_rsbf(model, spec, (0.8, 0.6), 3, RandomStream(45))
+
+    centered_levels = _quantile_ladder(model, spec, 0.0, 46)[:3]
+    shifted_levels = _quantile_ladder(model, spec, center, 46)[:3]
+    want = run()
+    for paths in (1, 7):
+        monkeypatch.setattr(estimators, "SPLIT_BLOCK_BYTES", _paths_bytes(model, paths))
+        assert run() == want
+
+
+@pytest.mark.parametrize("n_centers", [0, 2])
+def test_splitting_replica_grows_by_two_ensembles(n_centers):
+    # doubling the paths adds the paths and the resampling target and
+    # nothing else: fresh draws, proposals, offsets and norm temporaries stay
+    # within BLOCK_SCRATCH blocks. 124 and 248 paths cut into the same
+    # 31-path blocks of wiener:n=1024.
+    model, spec = WienerPath(n_steps=1024), parse_norm("lp:p=2")
+    centers = 0.0 if n_centers == 0 else \
+        model.sample_values(RandomStream(47).generator(), n_centers)
+    levels = _quantile_ladder(model, spec, centers, 48)[:3]
+    batch = max(n_centers, 1)
+
+    def peak(n_per_level):
+        rng = RandomStream(49).generator()
+        tracemalloc.start()
+        try:
+            estimators._splitting_pass(model, spec, centers, levels, n_per_level, rng, 2,
+                                       (batch, n_per_level), {levels[-1]: 0}, strict=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(124), peak(248)
+    ensemble = _paths_bytes(model, batch * 124)
+    assert 2 * ensemble <= large - small < 2.05 * ensemble
+    assert small - 2 * ensemble < estimators.BLOCK_SCRATCH * _paths_bytes(model, 31)
 
 
 @pytest.mark.parametrize("workers, n_replicas, threads", [
