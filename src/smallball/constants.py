@@ -319,7 +319,12 @@ def soft_cost_profile(resid: np.ndarray, p: float, dt: float):
     even = abs(p - round(p)) < 1e-12 and round(p) % 2 == 0
     if even:
         ip = round(p)
-        moments = [np.trapezoid(resid**k, dx=dt, axis=1) for k in range(ip + 1)]
+        # resid^k as a running product: a multiply per power, not a pow
+        power = np.ones_like(resid)
+        moments = [np.trapezoid(power, dx=dt, axis=1)]
+        for _ in range(ip):
+            power *= resid
+            moments.append(np.trapezoid(power, dx=dt, axis=1))
         coef = [math.comb(ip, k) for k in range(ip + 1)]
 
         def costs(x: float) -> np.ndarray:

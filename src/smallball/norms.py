@@ -207,7 +207,6 @@ def _hoelder_batch(seg: np.ndarray, dt: float, beta: float) -> np.ndarray:
 
 
 _SCREEN_STRIDE = 16  # the sup screen reads every 16th node of the interval
-SCREEN_BLOCK = 4096  # words per screen block; bounds the screen's scratch memory
 _F32_UNIT = 2.0**-24
 _F64_UNIT = 2.0**-53
 
@@ -221,8 +220,7 @@ def _f32_shrink(roundings: int) -> float:
 
 class DistanceScreen:
     """Lower bounds lb[i, j] on eval_norm_batch(test[i] - words[j], dt, spec)
-    for one batch of test draws, one block of at most SCREEN_BLOCK words per
-    call.
+    for one batch of test draws, one block of words per call.
 
     ``test`` (k, n+1[, d]) and the words (N, n+1[, d]) are the float32
     arrays the exact evaluation sees; the (k, N) float32 bounds hold for the
@@ -240,8 +238,10 @@ class DistanceScreen:
 
     The test draws' share of the bound is prepared once, and the scratch of
     one block serves every later block, so a scan over many blocks neither
-    repeats that work nor allocates per block. A call's result is
-    overwritten by the next call.
+    repeats that work nor allocates per block. The scratch grows to the
+    largest block seen: a float64 copy of its words for lp:p=2, and (k, N)
+    arrays of bounds, so the caller's block size bounds it. A call's result
+    is overwritten by the next call.
     """
 
     def __init__(self, test: np.ndarray, dt: float, spec: NormSpec):

@@ -21,14 +21,18 @@ import numpy as np
 from .errors import ConfigurationError, DataError, DomainError, RangeError
 from .estimators import MEMORY_BUDGET, SBFCurve
 from .models import GaussianModel, WienerPath
-from .norms import SCREEN_BLOCK, DistanceScreen, NormSpec, eval_norm_batch
+from .norms import DistanceScreen, NormSpec, eval_norm_batch
 from .rsbf import K_SIGMA, SLACK, CheckRow, GaugeCurve, Report
 from .streams import RandomStream, keyed_map
 
 REFRESH_EVERY = 64  # test draws served by one codebook draw
 DRAW_BLOCK_BYTES = 2**20  # float64 draw buffer while codewords are drawn
-SCAN_BLOCK_BYTES = 2**24  # float32 differences evaluated at once by the exact scan
-SCAN_CHUNK = 1024  # codewords per block of the screened scan
+# codewords per scanned block: the block, its screen scratch and its bounds
+# stay cache-sized, and the best distance found tightens between blocks
+SCREEN_BLOCK = 512
+# float32 differences evaluated at once by the exact scan; with the norm's
+# temporaries a slice stays in a core's L2 cache
+SCAN_BLOCK_BYTES = 2**19
 Z_QUANTILE_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
@@ -62,9 +66,10 @@ class Codebook:
 
     def blocks(self) -> Iterator[np.ndarray]:
         """The codewords in order, as float32 blocks of at most SCREEN_BLOCK
-        words. A drawn block is the float32 rounding of whole draws of about
-        DRAW_BLOCK_BYTES of float64 each, in row order, so each word equals
-        the rounding of one draw of all n; the next block overwrites it."""
+        words. A drawn block is the float32 rounding of whole draws of at
+        most SCREEN_BLOCK rows and about DRAW_BLOCK_BYTES of float64 each,
+        in row order, so each word equals the rounding of one draw of all n
+        whatever the block and draw sizes; the next block overwrites it."""
         if self.entries is not None:
             e32 = np.asarray(self.entries, dtype=np.float32)
             for a in range(0, self.n, SCREEN_BLOCK):
@@ -166,14 +171,15 @@ def nearest_distance(
     a cheap lower bound on that float32 distance: a sup over every 16th node
     for sup norms, a Gram expansion for lp:p=2, and 0 for norms without a
     screen. The exact distance at each draw's smallest bound in the first
-    block starts the search; then, in chunks of SCAN_CHUNK codewords, only
-    pairs whose bound does not exceed the best distance so far are
-    evaluated. A pair left out has a bound, hence an exact distance, above a
-    distance already found, so the minimum is the one a full scan returns,
-    bit for bit, for every block and chunk size. The kept pairs of a chunk
-    are evaluated in slices of at most SCAN_BLOCK_BYTES of differences,
-    which bounds the scratch memory where no screen prunes; a minimum does
-    not depend on the order.
+    block starts the search; then, block by block, only pairs whose bound
+    does not exceed the best distance so far are evaluated. A pair left out
+    has a bound, hence an exact distance, above a distance already found,
+    so the minimum is the one a full scan returns, bit for bit, for every
+    block size. The kept pairs of a block are evaluated in slices of at most
+    SCAN_BLOCK_BYTES of differences, which bounds the scratch memory where
+    no screen prunes; a minimum does not depend on the order. Per call, the
+    scratch is one block of SCREEN_BLOCK words with its screen and bounds,
+    and one slice: a few MiB at any rate.
     """
     t32 = np.asarray(test, dtype=np.float32)
     per_slice = max(1, SCAN_BLOCK_BYTES // (4 * math.prod(t32.shape[1:])))
@@ -184,13 +190,12 @@ def nearest_distance(
         if best is None:
             guess = words[lb.argmin(axis=1)]
             best = eval_norm_batch(t32 - guess, dt, norm_spec).astype(np.float64)
-        for a in range(0, len(words), SCAN_CHUNK):
-            i, j = np.nonzero(lb[:, a : a + SCAN_CHUNK] <= best[:, None])
-            for b in range(0, len(i), per_slice):
-                ib, jb = i[b : b + per_slice], j[b : b + per_slice]
-                diff = t32[ib]
-                diff -= words[a + jb]
-                np.minimum.at(best, ib, eval_norm_batch(diff, dt, norm_spec))
+        i, j = np.nonzero(lb <= best[:, None])
+        for b in range(0, len(i), per_slice):
+            ib, jb = i[b : b + per_slice], j[b : b + per_slice]
+            diff = t32[ib]
+            diff -= words[jb]
+            np.minimum.at(best, ib, eval_norm_batch(diff, dt, norm_spec))
     return best
 
 

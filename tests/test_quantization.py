@@ -98,13 +98,13 @@ def test_nearest_distance_tiny_exact():
     assert got == pytest.approx([1.0, 0.1], abs=1e-6)
 
 
-def test_nearest_distance_chunking_is_exact(monkeypatch):
+def test_nearest_distance_blocking_is_exact(monkeypatch):
     model = WienerPath(n_steps=32)
     book = build_codebook(model, 3.0, RandomStream(81))
     test = model.sample_values(RandomStream(82).generator(), 40)
     base = nearest_distance(test, book, model.dt, SUP)
-    for chunk in (1, 7):
-        monkeypatch.setattr(quantization, "SCAN_CHUNK", chunk)
+    for block in (1, 7):
+        monkeypatch.setattr(quantization, "SCREEN_BLOCK", block)
         assert np.array_equal(nearest_distance(test, book, model.dt, SUP), base)
 
 
@@ -156,8 +156,8 @@ def test_screened_search_equals_full_scan(model_name, norm, monkeypatch):
     test[3] = words[7]
     want = full_scan(test, book, model.dt, spec)
     assert want[3] == 0.0
-    for chunk in (1, 7, 1024):
-        monkeypatch.setattr(quantization, "SCAN_CHUNK", chunk)
+    for block in (1, 7, 1024):
+        monkeypatch.setattr(quantization, "SCREEN_BLOCK", block)
         assert np.array_equal(nearest_distance(test, book, model.dt, spec), want)
 
 
@@ -179,9 +179,9 @@ def test_unscreened_scan_in_capped_slices_equals_full_scan(norm, scan_bytes, mon
 
     monkeypatch.setattr(quantization, "SCAN_BLOCK_BYTES", scan_bytes)
     monkeypatch.setattr(quantization, "eval_norm_batch", recording)
-    for chunk in (7, 1024):
+    for block in (7, 1024):
         sizes.clear()
-        monkeypatch.setattr(quantization, "SCAN_CHUNK", chunk)
+        monkeypatch.setattr(quantization, "SCREEN_BLOCK", block)
         got = nearest_distance(test, book, model.dt, spec)
         assert np.array_equal(got, full_scan(test, book, model.dt, spec))
         # the first evaluation is the starting guess, one codeword per draw
@@ -216,12 +216,13 @@ def test_screen_bound_holds_under_cancellation(d, norm):
 @pytest.mark.parametrize("model_name, norm", SCAN_PAIRS)
 def test_streamed_batches_equal_scans_of_stored_codebooks(model_name, norm, workers,
                                                           monkeypatch):
-    # floor(e^8.4) = 4447 words: a full screen block, then a partial one;
-    # five draws per refresh make three batches (5, 5, 2) on up to 3 workers
+    # floor(e^6.4) = 601 words: a full 512-word screen block, then a partial
+    # one; five draws per refresh make three batches (5, 5, 2) on up to 3
+    # workers
     monkeypatch.setenv("SMALLBALL_WORKERS", workers)
     monkeypatch.setattr(quantization, "REFRESH_EVERY", 5)
     model, spec = SCAN_MODELS[model_name], parse_norm(norm)
-    stream, r = RandomStream(94), 8.4
+    stream, r = RandomStream(94), 6.4
     test_rng = stream.spawn(0).generator()
     want = np.concatenate([
         nearest_distance(model.sample_values(test_rng, k),
@@ -229,8 +230,13 @@ def test_streamed_batches_equal_scans_of_stored_codebooks(model_name, norm, work
         for j, k in enumerate((5, 5, 2))
     ])
     row_bytes = 8 * math.prod(model.value_shape)
-    # draws of one row, of seven rows, and of the default 1 MiB
-    for draw_bytes in (row_bytes, 7 * row_bytes, quantization.DRAW_BLOCK_BYTES):
+    # screen blocks of one word, of seven (the last one partial), of 512 and
+    # of the whole codebook, drawn one row, seven rows or 1 MiB at a time (a
+    # draw never exceeds a block)
+    for block, draw_bytes in [(1, row_bytes), (7, row_bytes), (7, 2**20),
+                              (512, row_bytes), (512, 7 * row_bytes), (512, 2**20),
+                              (1024, 7 * row_bytes), (1024, 2**20)]:
+        monkeypatch.setattr(quantization, "SCREEN_BLOCK", block)
         monkeypatch.setattr(quantization, "DRAW_BLOCK_BYTES", draw_bytes)
         assert np.array_equal(sample_nearest(model, spec, r, 12, stream), want)
 
@@ -256,6 +262,19 @@ def test_sample_nearest_memory_does_not_grow_with_the_rate(workers, monkeypatch)
     assert abs(peak[12.0] - peak[10.0]) <= 0.1 * peak[10.0]
     if workers == "1":
         assert peak[12.0] < 20 * 2**20
+
+
+@pytest.mark.parametrize("norm", ("sup", "lp:p=2", "lp:p=4"))
+@pytest.mark.parametrize("n_steps", (64, 256, 1024))
+def test_nearest_distance_scratch_is_bounded(n_steps, norm):
+    # one 64-draw batch against 1096 drawn words: a few screen blocks of 512
+    # words, and slices of 512 KiB of differences where no screen prunes
+    # (lp:p=4 keeps every pair)
+    model = WienerPath(n_steps=n_steps)
+    test = model.sample_values(RandomStream(96).generator(), REFRESH_EVERY)
+    book = Codebook(None, 7.0, RandomStream(97), model)
+    peak = traced_peak(lambda: nearest_distance(test, book, model.dt, parse_norm(norm)))
+    assert peak < 12 * 2**20
 
 
 def test_sample_nearest_first_batch_reproducible():
