@@ -40,6 +40,7 @@ from .errors import ConfigurationError, RangeError, SmallballError
 from .estimators import (
     CURVE_PATHS,
     CURVE_REPLICAS,
+    ROUTES,
     centered_curve,
     centered_depth,
     depth_floor,
@@ -77,7 +78,7 @@ from .streams import RandomStream
 
 ARTIFACT_VERSION = "1"
 
-_ESTIMATORS = ("auto", "analytic", "mc", "splitting", "transfer")
+_ESTIMATORS = ("auto",) + ROUTES
 _MODES = ("subadditive", "eps_fit", "both")
 _FORMATS = ("csv", "json")
 BRENT_XTOL, BRENT_RTOL = 1e-300, 1e-14  # _eps_for_depth's stop rule: relative only

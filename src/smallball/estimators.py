@@ -2,9 +2,10 @@
 
 Four routes to log mu(B(x0, eps)), each tagged on the estimate it returns:
 
-* ``analytic``  - closed forms: Gaussian CDF for the scalar model, the
-  alternating exponential series (small radius) / reflection series (large
-  radius) for the centered Brownian sup-ball, and their bridge analogue.
+* ``analytic``  - closed forms: the Gaussian CDF of the scalar model around
+  any center, the alternating exponential series (small radius) /
+  reflection series (large radius) for the centered Brownian sup-ball, and
+  their bridge analogue.
   Deterministic numerical evaluations (truncation below 1e-15 relative)
   carry stderr 0.
 * ``transfer``  - the deterministic band sweep of ``transfer.py``; its
@@ -112,32 +113,24 @@ class Routes:
     centered / shifted: the routes that price a ball around 0 / around a
     draw of the model. exact: the deterministic route whose value is the
     mass under the discrete measure the panels are drawn from, the one the
-    gauge bounds and verifiers read. auto: the route "auto" picks for each
-    of COMMANDS; None where quantize has no exact depth to invert.
+    gauge bounds and verifiers read, and the one "auto" takes where it exists.
     """
 
     centered: tuple[str, ...]
     shifted: tuple[str, ...]
     exact: tuple[str, ...]
-    auto: tuple[str | None, ...]
 
 
-COMMANDS = ("sbf", "rsbf", "verify-all", "quantize")
 _SAMPLED = ("mc", "splitting")
 ROUTE_TABLE = {
-    # the closed form is the scalar law itself; the panel counts hits
-    # although an exact random-center law exists
-    "scalar": Routes(("analytic",) + _SAMPLED, _SAMPLED, ("analytic",),
-                     ("analytic", "mc", "analytic", "splitting")),
+    # the closed form is the scalar law itself, around any center
+    "scalar": Routes(("analytic",) + _SAMPLED, ("analytic",) + _SAMPLED, ("analytic",)),
     # a 1-d Brownian path under the sup norm over its whole horizon; the
     # closed form is the continuum value, the band sweep the grid's own
-    "wiener-sup": Routes(ROUTES, ("transfer",) + _SAMPLED, ("transfer",),
-                         ("transfer", "transfer", "transfer", "transfer")),
-    # the continuum closed form is not the panel's discrete measure, so
-    # verify-all prices its centered curve by splitting
-    "bridge-sup": Routes(("analytic",) + _SAMPLED, _SAMPLED, (),
-                         ("analytic", "splitting", "splitting", None)),
-    "other": Routes(_SAMPLED, _SAMPLED, (), ("splitting", "splitting", "splitting", None)),
+    "wiener-sup": Routes(ROUTES, ("transfer",) + _SAMPLED, ("transfer",)),
+    # the closed form is the continuum value, not the panel's discrete measure
+    "bridge-sup": Routes(("analytic",) + _SAMPLED, _SAMPLED, ()),
+    "other": Routes(_SAMPLED, _SAMPLED, ()),
 }
 
 
@@ -173,14 +166,25 @@ def pick_routes(model: GaussianModel, norm_spec: NormSpec, command: str,
     """The (centered curve, center panel) routes of one command, None for a
     ball it does not price.
 
-    "auto" reads the table. A requested route prices every ball the command
-    prices, except that a panel asked for ``analytic`` counts hits (mc): no
-    random-center closed form is wired in.
+    A requested route prices every ball the command prices and must be
+    listed for each. "auto" takes the pair's exact route when it has one.
+    Without one, panels and the centered curve of verify-all split (the
+    verifiers compare that curve with the panel), quantize inverts no
+    gauge, and sbf takes the closed form where the table lists one.
     """
-    route = requested if requested != "auto" else \
-        route_table(model, norm_spec).auto[COMMANDS.index(command)]
+    routes = route_table(model, norm_spec)
+    if requested != "auto":
+        route = requested
+    elif routes.exact:
+        route = routes.exact[0]
+    elif command == "quantize":
+        return None, None
+    elif command == "sbf" and "analytic" in routes.centered:
+        route = "analytic"
+    else:
+        route = "splitting"
     curve = route if command in ("sbf", "verify-all") else None
-    panel = ("mc" if route == "analytic" else route) if command != "sbf" and route else None
+    panel = route if command != "sbf" else None
     if curve:
         require_route(model, norm_spec, curve, "centered")
     if panel:
@@ -220,15 +224,11 @@ def log_mass(model: GaussianModel, norm_spec: NormSpec, centers, eps):
 
 def centered_depth(model: GaussianModel, norm_spec: NormSpec):
     """eps -> -log mu(B(0, eps)) under the panel's discrete measure, or None
-    when the pair has no exact route. The scalar depth is sbf_analytic's
-    form, which can differ from the shifted law at 0 in the last bit."""
-    exact = route_table(model, norm_spec).exact
-    if exact == ("analytic",):
-        return lambda e: sbf_analytic(model, norm_spec, e).phi
-    if exact:
-        origin = np.zeros(model.value_shape)
-        return lambda e: -log_mass(model, norm_spec, origin, e)
-    return None
+    when the pair has no exact route."""
+    if not route_table(model, norm_spec).exact:
+        return None
+    origin = np.zeros(model.value_shape)
+    return lambda e: -log_mass(model, norm_spec, origin, e)
 
 
 def depth_floor(model: GaussianModel, norm_spec: NormSpec) -> float:
@@ -320,18 +320,17 @@ def _log_bridge_sup_ball(eps: float) -> float:
 def sbf_analytic(model: GaussianModel, norm_spec: NormSpec, eps: float) -> ProbEstimate | None:
     """Closed-form negative log ball mass, or None when (model, norm) has none.
 
-    Supported: Scalar with any norm (all reduce to |x|); WienerPath d=1 with
-    the sup norm over the full horizon; BrownianBridge with the sup norm.
-    The value is the continuum one; grid curves carry discretization bias
-    that callers measure by refinement.
+    Supported: Scalar with any norm (all reduce to |x|), by the law that
+    ``log_mass`` prices at 0; WienerPath d=1 with the sup norm over the full
+    horizon; BrownianBridge with the sup norm. The path values are the
+    continuum ones; grid curves carry discretization bias that callers
+    measure by refinement.
     """
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
     family = pair_family(model, norm_spec)
     if family == "scalar":
-        # log(2 Phi(eps/sigma) - 1), written to stay accurate for large eps
-        z = eps / model.sigma
-        lp = float(np.log1p(-2.0 * scipy.special.ndtr(-z)))
+        lp = -float(_scalar_ell_exact(0.0, eps / model.sigma))
         return ProbEstimate(min(lp, 0.0), 0.0, 0, "analytic")
     if family == "wiener-sup":
         return ProbEstimate(
@@ -534,70 +533,57 @@ def _splitting_pass(
     fracs: list[float] = []
     accs: list[float] = [1.0]
 
-    def note(level_idx: int) -> None:
-        # a dead center's cum already holds its rule-of-three bound
-        j = record_at.get(levels[level_idx])
-        if j is not None:
-            rec_log[:, j] = cum
-            rec_var[:, j] = var
-
-    inside = d <= levels[0]
-    p0 = inside.mean(axis=1)
-    frac = float(p0.min(initial=1.0))
-    if frac < 0.2:
-        warnings.warn(f"ladder entry fraction {frac:.3f} < 0.2 at eps={levels[0]:g}; "
-                      "consider a larger starting radius", PowerWarning, stacklevel=2)
-    died = p0 == 0
-    if died.any() and strict:
-        raise LadderError(0, levels[0])
-    safe_p0 = np.where(died, 1.0, p0)
-    cum += np.where(died, math.log(3.0 / N), np.log(safe_p0))
-    var += np.where(died, np.inf, (1.0 - safe_p0) / (N * safe_p0))
-    dead |= died
-    fracs.append(float(p0.mean()))
-    note(0)
-
-    for k in range(1, len(levels)):
-        hi, lo = levels[k - 1], levels[k]
-        # resample survivors within each center's ensemble
-        surv = d <= hi
-        for b in np.flatnonzero(~dead):
-            idx = np.flatnonzero(surv[b])
-            take = idx[rng.integers(0, len(idx), N)]
-            # mode="clip" (the indices are in range) writes to out unbuffered
-            np.take(X[b * N:(b + 1) * N], take, axis=0, out=Y[b * N:(b + 1) * N], mode="clip")
-            d[b] = d[b][take]
-        X, Y = Y, X
-        acc_count = 0
+    for k, lo in enumerate(levels):
         alive = ~dead
-        live_rows = np.repeat(alive, N)
-        for _ in range(n_moves):
-            for r0, r1 in spans:
-                xb, fb, pb = X[r0:r1], F[:r1 - r0], P[:r1 - r0]
-                draw(fb)
-                np.multiply(xb, RHO, out=pb)
-                fb *= s
-                pb += fb
-                dp = distances(pb, r0)
-                ok = (dp <= hi) & live_rows[r0:r1]
-                np.copyto(xb, pb, where=ok.reshape(ok.shape + mask_tail))
-                np.copyto(d_rows[r0:r1], dp, where=ok)
-                acc_count += int(np.count_nonzero(ok))
-        denom = max(1, int(alive.sum()) * N * n_moves)
-        accs.append(acc_count / denom)
+        if k:
+            hi = levels[k - 1]
+            # resample survivors within each center's ensemble
+            surv = d <= hi
+            for b in np.flatnonzero(alive):
+                idx = np.flatnonzero(surv[b])
+                take = idx[rng.integers(0, len(idx), N)]
+                # mode="clip" (the indices are in range) writes to out unbuffered
+                np.take(X[b * N:(b + 1) * N], take, axis=0, out=Y[b * N:(b + 1) * N],
+                        mode="clip")
+                d[b] = d[b][take]
+            X, Y = Y, X
+            acc_count = 0
+            live_rows = np.repeat(alive, N)
+            for _ in range(n_moves):
+                for r0, r1 in spans:
+                    xb, fb, pb = X[r0:r1], F[:r1 - r0], P[:r1 - r0]
+                    draw(fb)
+                    np.multiply(xb, RHO, out=pb)
+                    fb *= s
+                    pb += fb
+                    dp = distances(pb, r0)
+                    ok = (dp <= hi) & live_rows[r0:r1]
+                    np.copyto(xb, pb, where=ok.reshape(ok.shape + mask_tail))
+                    np.copyto(d_rows[r0:r1], dp, where=ok)
+                    acc_count += int(np.count_nonzero(ok))
+            accs.append(acc_count / max(1, int(alive.sum()) * N * n_moves))
         p = (d <= lo).mean(axis=1)
+        if k == 0 and p.min(initial=1.0) < 0.2:
+            warnings.warn(f"ladder entry fraction {p.min():.3f} < 0.2 at "
+                          f"eps={lo:g}; consider a larger starting radius",
+                          PowerWarning, stacklevel=2)
         died = (p == 0) & alive
         if died.any() and strict:
             raise LadderError(k, lo)
         live = alive & ~died
-        cum = np.where(live, cum + np.log(np.where(p == 0, 1.0, p)), cum)
-        var = np.where(live, var + (1.0 - np.where(p == 0, 1.0, p)) / (N * np.where(p == 0, 1.0, p)), var)
+        safe = np.where(p == 0, 1.0, p)
+        cum = np.where(live, cum + np.log(safe), cum)
+        var = np.where(live, var + (1.0 - safe) / (N * safe), var)
         # a dying center keeps its last estimate plus the rule-of-three bound
         cum = np.where(died, cum + math.log(3.0 / N), cum)
         var = np.where(died, np.inf, var)
         dead |= died
         fracs.append(float(p[alive].mean()) if alive.any() else 0.0)
-        note(k)
+        j = record_at.get(lo)
+        if j is not None:
+            # a dead center's cum already holds its rule-of-three bound
+            rec_log[:, j] = cum
+            rec_var[:, j] = var
 
     diag = SplittingDiagnostics(tuple(levels), tuple(fracs), tuple(accs))
     return rec_log, rec_var, dead, diag

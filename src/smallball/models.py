@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, ShapeError
+from .norms import parse_descriptor
 
 
 class GaussianModel:
@@ -222,37 +223,22 @@ def rkhs_norm(model: GaussianModel, shift) -> float:
     return math.sqrt(sq) if math.isfinite(sq) else math.inf
 
 
+def _build_model(head: str, kv: dict[str, str]) -> GaussianModel:
+    if head == "scalar":
+        return Scalar(sigma=float(kv.pop("sigma", 1.0)))
+    if head == "finite":
+        return FiniteSpectrum(lambdas=tuple(float(x) for x in kv.pop("lambdas", "1").split("/")))
+    if head == "wiener":
+        return WienerPath(
+            n_steps=int(kv.pop("n", 256)),
+            d=int(kv.pop("d", 1)),
+            horizon=float(kv.pop("T", 1.0)),
+        )
+    if head == "bridge":
+        return BrownianBridge(n_steps=int(kv.pop("n", 256)))
+    raise ConfigurationError(f"unknown model kind {head!r} (scalar|finite|wiener|bridge)")
+
+
 def parse_model(text: str) -> GaussianModel:
     """Parse a model descriptor like 'wiener:n=256,d=1,T=2' or 'scalar:sigma=2'."""
-    head, _, tail = text.partition(":")
-    kv: dict[str, str] = {}
-    if tail:
-        for part in tail.split(","):
-            if "=" not in part:
-                raise ConfigurationError(f"bad model parameter {part!r} in {text!r}")
-            k, v = part.split("=", 1)
-            kv[k.strip()] = v.strip()
-    try:
-        model: GaussianModel
-        if head == "scalar":
-            model = Scalar(sigma=float(kv.pop("sigma", 1.0)))
-        elif head == "finite":
-            lam = tuple(float(x) for x in kv.pop("lambdas", "1").split("/"))
-            model = FiniteSpectrum(lambdas=lam)
-        elif head == "wiener":
-            model = WienerPath(
-                n_steps=int(kv.pop("n", 256)),
-                d=int(kv.pop("d", 1)),
-                horizon=float(kv.pop("T", 1.0)),
-            )
-        elif head == "bridge":
-            model = BrownianBridge(n_steps=int(kv.pop("n", 256)))
-        else:
-            raise ConfigurationError(
-                f"unknown model kind {head!r} (scalar|finite|wiener|bridge)"
-            )
-    except (ValueError, DomainError) as exc:
-        raise ConfigurationError(f"bad model descriptor {text!r}: {exc}") from exc
-    if kv:
-        raise ConfigurationError(f"unknown model parameters {sorted(kv)} in {text!r}")
-    return model
+    return parse_descriptor(text, "model", _build_model)

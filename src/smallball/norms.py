@@ -107,31 +107,40 @@ def _num(x: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def parse_norm(text: str) -> NormSpec:
-    """Parse a norm descriptor like 'sup', 'lp:p=2', 'hoelder:beta=0.25,a=0,b=1'."""
+def parse_descriptor(text: str, what: str, build):
+    """Parse a ``what`` descriptor 'head:key=value,...' by build(head,
+    params), which pops each parameter it reads. A value it cannot use, or
+    a parameter it leaves, is a ConfigurationError naming the descriptor."""
     head, _, tail = text.partition(":")
     kv: dict[str, str] = {}
-    if tail:
-        for part in tail.split(","):
-            if "=" not in part:
-                raise ConfigurationError(f"bad norm parameter {part!r} in {text!r}")
-            k, v = part.split("=", 1)
-            kv[k.strip()] = v.strip()
+    for part in tail.split(",") if tail else ():
+        if "=" not in part:
+            raise ConfigurationError(f"bad {what} parameter {part!r} in {text!r}")
+        k, v = part.split("=", 1)
+        kv[k.strip()] = v.strip()
     try:
-        interval = (float(kv.pop("a", 0.0)), float(kv.pop("b", 1.0)))
-        if head == "sup":
-            spec = NormSpec("sup", interval=interval)
-        elif head == "lp":
-            spec = NormSpec("lp", p=float(kv.pop("p", 2.0)), interval=interval)
-        elif head == "hoelder":
-            spec = NormSpec("hoelder", beta=float(kv.pop("beta", 0.25)), interval=interval)
-        else:
-            raise ConfigurationError(f"unknown norm kind {head!r} (sup|lp|hoelder)")
+        parsed = build(head, kv)
     except (ValueError, DomainError) as exc:
-        raise ConfigurationError(f"bad norm descriptor {text!r}: {exc}") from exc
+        raise ConfigurationError(f"bad {what} descriptor {text!r}: {exc}") from exc
     if kv:
-        raise ConfigurationError(f"unknown norm parameters {sorted(kv)} in {text!r}")
-    return spec
+        raise ConfigurationError(f"unknown {what} parameters {sorted(kv)} in {text!r}")
+    return parsed
+
+
+def _build_norm(head: str, kv: dict[str, str]) -> NormSpec:
+    interval = (float(kv.pop("a", 0.0)), float(kv.pop("b", 1.0)))
+    if head == "sup":
+        return NormSpec("sup", interval=interval)
+    if head == "lp":
+        return NormSpec("lp", p=float(kv.pop("p", 2.0)), interval=interval)
+    if head == "hoelder":
+        return NormSpec("hoelder", beta=float(kv.pop("beta", 0.25)), interval=interval)
+    raise ConfigurationError(f"unknown norm kind {head!r} (sup|lp|hoelder)")
+
+
+def parse_norm(text: str) -> NormSpec:
+    """Parse a norm descriptor like 'sup', 'lp:p=2', 'hoelder:beta=0.25,a=0,b=1'."""
+    return parse_descriptor(text, "norm", _build_norm)
 
 
 # -- evaluation --------------------------------------------------------------

@@ -157,14 +157,15 @@ def sample_rsbf(
 
     The same centers serve every radius in the grid. Estimators:
 
-    * ``mc``        - plain hit counting per (center, radius); fine for the
-      scalar model or radii with mass above ~1e-4.
+    * the pair's exact route (``analytic`` for the scalar law, ``transfer``
+      for the band sweep of a 1-d Brownian sup ball) - ``log_mass`` at all
+      centers, one radius per pool task, stderr 0.
+    * ``mc``        - plain hit counting per (center, radius); fine for
+      radii with mass above ~1e-4.
     * ``splitting`` - one ladder descent per center batch, all radii
       recorded on the way down; the ladder is spaced on the centered pilot
       curve and shared across centers. An ensemble that dies mid-ladder
       yields bound-flagged samples rather than an error.
-    * ``transfer``  - deterministic band sweep (1-d Brownian paths, sup
-      norm over the full horizon only), one radius per pool task.
     """
     eps_grid = tuple(sorted({float(e) for e in eps_grid}, reverse=True))
     if n_centers < 2:
@@ -180,7 +181,7 @@ def sample_rsbf(
                                                 center=centers[i]))
                 for i in range(n_centers) for j, eps in enumerate(eps_grid)]
 
-    if estimator == "transfer":
+    if estimator in route_table(model, norm_spec).exact:
         lps = keyed_map(lambda eps: log_mass(model, norm_spec, centers, eps), eps_grid)
         return [RSBFSample(i, eps, ProbEstimate(min(float(lp[i]), 0.0), 0.0, 0, "analytic"))
                 for i in range(n_centers) for eps, lp in zip(eps_grid, lps)]

@@ -421,7 +421,7 @@ def _run_digest(tmp_path: Path, tag: str, **kw) -> tuple[int, dict[str, str]]:
 def test_criterion_12_byte_determinism(criterion, tmp_path, monkeypatch):
     experiments = {
         "rsbf": dict(experiment="rsbf", model="scalar", seed="11",
-                     samples="20000", centers="32"),
+                     samples="20000", centers="32", estimator="mc"),
         "quantize": dict(experiment="quantize", model="wiener:n=64", seed="11",
                          r_grid="2,4", samples="512", centers="32"),
     }

@@ -184,9 +184,9 @@ def test_sbf_scalar_end_to_end(tmp_path, capsys):
 
 def test_rerun_is_byte_identical(tmp_path):
     _, out1, _ = run_cfg(tmp_path, "a", experiment="rsbf", model="scalar", seed="11",
-                         eps="1.0,0.5", samples="20000", centers="32")
+                         eps="1.0,0.5", samples="20000", centers="32", estimator="mc")
     _, out2, _ = run_cfg(tmp_path, "b", experiment="rsbf", model="scalar", seed="11",
-                         eps="1.0,0.5", samples="20000", centers="32")
+                         eps="1.0,0.5", samples="20000", centers="32", estimator="mc")
     for name in ("rsbf_samples.csv", "rsbf_gauge.csv", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -194,10 +194,10 @@ def test_rerun_is_byte_identical(tmp_path):
 def test_worker_count_never_changes_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv("SMALLBALL_WORKERS", "1")
     _, out1, _ = run_cfg(tmp_path, "w1", experiment="rsbf", model="scalar", seed="13",
-                         eps="1.0,0.5", samples="20000", centers="32")
+                         eps="1.0,0.5", samples="20000", centers="32", estimator="mc")
     monkeypatch.setenv("SMALLBALL_WORKERS", "5")
     _, out2, _ = run_cfg(tmp_path, "w5", experiment="rsbf", model="scalar", seed="13",
-                         eps="1.0,0.5", samples="20000", centers="32")
+                         eps="1.0,0.5", samples="20000", centers="32", estimator="mc")
     for name in ("rsbf_samples.csv", "rsbf_gauge.csv", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -263,7 +263,8 @@ def test_main_happy_path(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, table", [
     (["sbf", "--model", "scalar", "--estimator", "mc", "--eps", "10"], "sbf.csv"),
-    (["rsbf", "--model", "scalar", "--eps", "9,8", "--centers", "4"], "rsbf_samples.csv"),
+    (["rsbf", "--model", "scalar", "--estimator", "mc", "--eps", "9,8", "--centers", "4"],
+     "rsbf_samples.csv"),
 ])
 def test_main_all_hits_mc_is_exit_0(tmp_path, argv, table):
     # radii so wide that every sample hits: the plug-in stderr is 0, which
@@ -672,6 +673,36 @@ def test_splitting_refuses_replicas_over_the_memory_budget(tmp_path, capsys):
     assert error["kind"] == "config"
     assert "MiB budget" in error["message"]
     assert not (tmp_path / "m" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, supported", [
+    (["rsbf", "--model", "wiener:n=64"], "transfer, mc, splitting"),
+    (["verify-all", "--model", "bridge:n=32"], "mc, splitting"),
+])
+def test_panel_asked_for_a_missing_closed_form_is_refused(tmp_path, capsys, argv, supported):
+    # a requested route is never swapped for another one
+    code = cli.main(argv + ["--estimator", "analytic", "--seed", "1",
+                            "--out", str(tmp_path / "m")])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["kind"] == "config"
+    assert error["message"].startswith("no analytic route for shifted balls of ")
+    assert error["message"].endswith("under sup; supported: " + supported)
+    assert not (tmp_path / "m" / "manifest.json").exists()
+
+
+def test_scalar_rsbf_rows_are_exact(tmp_path):
+    code, out, _ = run_cfg(tmp_path, "s", experiment="rsbf", model="scalar", seed="11",
+                           eps="1.0,0.5", centers="30")
+    assert code == 0
+    header, *rows = [line.split(",") for line in (out / "rsbf_samples.csv").read_text()
+                     .splitlines()]
+    assert len(rows) == 60
+    for row in rows:
+        cell = dict(zip(header, row))
+        assert (cell["method"], cell["stderr"], cell["bound"]) == ("analytic", "0", "false")
 
 
 def test_plotdata_from_quantize_run(tmp_path):

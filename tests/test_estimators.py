@@ -9,7 +9,6 @@ from scipy.stats import norm as gauss
 from smallball import estimators, rsbf
 from smallball.errors import ConfigurationError, DomainError, LadderError, PowerWarning
 from smallball.estimators import (
-    COMMANDS,
     ROUTE_TABLE,
     ProbEstimate,
     SBFCurve,
@@ -120,32 +119,49 @@ def test_route_table_agrees_with_the_routes_themselves(model, spec):
     assert ("analytic" in routes.centered) == (sbf_analytic(model, spec, 0.5) is not None)
     assert ("transfer" in routes.centered) == transfer_applies(model, spec)
     assert ("transfer" in routes.shifted) == transfer_applies(model, spec)
-    assert set(routes.exact) <= set(routes.centered)
-    assert {"mc", "splitting"} <= set(routes.shifted) and "analytic" not in routes.shifted
-    for command, route in zip(COMMANDS, routes.auto):
+    assert set(routes.exact) <= set(routes.centered) & set(routes.shifted)
+    assert {"mc", "splitting"} <= set(routes.shifted)
+    # a closed form around any center is the pair's exact law
+    assert ("analytic" in routes.shifted) == (routes.exact == ("analytic",))
+    for command in ("sbf", "rsbf", "verify-all", "quantize"):
         curve, panel = pick_routes(model, spec, command)
-        assert route in (curve, panel)
         assert curve is None or curve in routes.centered
         assert panel is None or panel in routes.shifted
+        if routes.exact:
+            # every ball a command prices takes the exact route
+            assert {curve, panel} - {None} == set(routes.exact)
+        elif command == "quantize":
+            assert (curve, panel) == (None, None)
     assert (centered_depth(model, spec) is None) == (not routes.exact)
 
 
 def test_route_table_rows():
     assert sorted(ROUTE_TABLE) == ["bridge-sup", "other", "scalar", "wiener-sup"]
-    # scalar rsbf counts hits although an exact random-center law exists
-    assert pick_routes(Scalar(), SUP, "rsbf") == (None, "mc")
-    assert pick_routes(Scalar(), SUP, "verify-all") == ("analytic", "mc")
-    assert pick_routes(Scalar(), SUP, "quantize") == (None, "splitting")
-    # the bridge's closed form is the continuum, not the panel's grid measure
-    assert pick_routes(BrownianBridge(n_steps=64), SUP, "sbf") == ("analytic", None)
-    assert pick_routes(BrownianBridge(n_steps=64), SUP, "verify-all") == ("splitting", "splitting")
-    assert pick_routes(BrownianBridge(n_steps=64), SUP, "quantize") == (None, None)
+    # the scalar law prices every ball, the panel's included
+    assert pick_routes(Scalar(), SUP, "sbf") == ("analytic", None)
+    assert pick_routes(Scalar(), SUP, "rsbf") == (None, "analytic")
+    assert pick_routes(Scalar(), SUP, "verify-all") == ("analytic", "analytic")
+    assert pick_routes(Scalar(), SUP, "quantize") == (None, "analytic")
     wiener = WienerPath(n_steps=64)
-    for command in ("sbf", "rsbf", "verify-all", "quantize"):
-        assert "transfer" in pick_routes(wiener, SUP, command)
-    # a panel asked for the closed form counts hits
-    assert pick_routes(wiener, SUP, "rsbf", "analytic") == (None, "mc")
-    assert pick_routes(wiener, SUP, "verify-all", "analytic") == ("analytic", "mc")
+    assert pick_routes(wiener, SUP, "sbf") == ("transfer", None)
+    assert pick_routes(wiener, SUP, "rsbf") == (None, "transfer")
+    assert pick_routes(wiener, SUP, "verify-all") == ("transfer", "transfer")
+    assert pick_routes(wiener, SUP, "quantize") == (None, "transfer")
+    # the bridge's closed form is the continuum, not the panel's grid measure
+    bridge = BrownianBridge(n_steps=64)
+    assert pick_routes(bridge, SUP, "sbf") == ("analytic", None)
+    assert pick_routes(bridge, SUP, "rsbf") == (None, "splitting")
+    assert pick_routes(bridge, SUP, "verify-all") == ("splitting", "splitting")
+    assert pick_routes(bridge, SUP, "quantize") == (None, None)
+    lp = parse_norm("lp:p=2")
+    assert pick_routes(wiener, lp, "sbf") == ("splitting", None)
+    assert pick_routes(wiener, lp, "verify-all") == ("splitting", "splitting")
+    assert pick_routes(wiener, lp, "quantize") == (None, None)
+    # a requested route prices every ball the command prices, unswapped
+    assert pick_routes(wiener, SUP, "rsbf", "mc") == (None, "mc")
+    assert pick_routes(Scalar(), SUP, "verify-all", "mc") == ("mc", "mc")
+    assert pick_routes(bridge, SUP, "verify-all", "mc") == ("mc", "mc")
+    assert pick_routes(wiener, SUP, "sbf", "analytic") == ("analytic", None)
 
 
 def test_unsupported_route_names_the_pair_and_the_routes():
@@ -155,8 +171,17 @@ def test_unsupported_route_names_the_pair_and_the_routes():
         pick_routes(BrownianBridge(n_steps=64), SUP, "sbf", "transfer")
     with pytest.raises(ConfigurationError, match=r"wiener under lp:p=2; supported: none"):
         log_mass(WienerPath(n_steps=64), parse_norm("lp:p=2"), np.zeros(65), 0.5)
-    with pytest.raises(ConfigurationError, match="supported: mc, splitting"):
+    with pytest.raises(ConfigurationError, match="supported: analytic, mc, splitting"):
         pick_routes(Scalar(), SUP, "rsbf", "transfer")
+    # a panel asked for a closed form it has not is refused, not swapped
+    with pytest.raises(ConfigurationError,
+                       match=r"no analytic route for shifted balls of wiener under sup; "
+                             r"supported: transfer, mc, splitting"):
+        pick_routes(WienerPath(n_steps=64), SUP, "rsbf", "analytic")
+    with pytest.raises(ConfigurationError,
+                       match=r"no analytic route for shifted balls of bridge under sup; "
+                             r"supported: mc, splitting"):
+        pick_routes(BrownianBridge(n_steps=64), SUP, "verify-all", "analytic")
 
 
 def test_log_mass_is_the_exact_route():
@@ -171,8 +196,9 @@ def test_log_mass_is_the_exact_route():
     xs = np.array([-1.5, 0.0, 0.3])
     assert np.array_equal(log_mass(Scalar(), SUP, xs, 0.5), -_scalar_ell_exact(xs, 0.5))
     assert log_mass(Scalar(), SUP, 0.3, 0.5) == -float(_scalar_ell_exact(0.3, 0.5))
-    # the scalar depth keeps the closed form of the centered ball
+    # one scalar closed form: the centered ball is the exact law at 0
     assert centered_depth(Scalar(), SUP)(0.5) == sbf_analytic(Scalar(), SUP, 0.5).phi
+    assert sbf_analytic(Scalar(), SUP, 0.5).phi == float(_scalar_ell_exact(0.0, 0.5))
     ones = np.ones(65)
     assert centered_depth(model, SUP)(0.5) == -band_log_prob(-0.5 * ones, 0.5 * ones, model.dt)
 
@@ -185,9 +211,8 @@ def test_scalar_log_mass_scales_by_sigma(sigma, center):
     want = math.log(gauss.cdf((center + eps) / sigma) - gauss.cdf((center - eps) / sigma))
     assert log_mass(model, SUP, center, eps) == pytest.approx(want, rel=1e-12, abs=0.0)
     if center == 0.0:
-        # the two closed forms may differ in the last bit
-        assert log_mass(model, SUP, center, eps) == pytest.approx(
-            sbf_analytic(model, SUP, eps).log_prob, rel=1e-12, abs=0.0)
+        # sbf_analytic's scalar branch is the same law at 0
+        assert log_mass(model, SUP, center, eps) == sbf_analytic(model, SUP, eps).log_prob
 
 
 def test_centered_curve_routes():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,19 +116,19 @@ def test_parse_model_round_trips():
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, message",
     [
-        "laplace",                # unknown kind
-        "wiener:n=0",             # invalid step count
-        "wiener:d=4",             # dimension out of range
-        "wiener:banana=1",        # unknown key
-        "scalar:sigma=-1",        # bad domain
-        "scalar:sigma",           # malformed pair
-        "finite:lambdas=1/-2",
+        ("laplace", "unknown model kind 'laplace' (scalar|finite|wiener|bridge)"),
+        ("wiener:n=0", "bad model descriptor 'wiener:n=0': n_steps"),  # invalid step count
+        ("wiener:d=4", "bad model descriptor 'wiener:d=4': d must"),  # dimension out of range
+        ("wiener:banana=1", "unknown model parameters ['banana'] in 'wiener:banana=1'"),
+        ("scalar:sigma=-1", "bad model descriptor 'scalar:sigma=-1': sigma"),  # bad domain
+        ("scalar:sigma", "bad model parameter 'sigma' in 'scalar:sigma'"),  # malformed pair
+        ("finite:lambdas=1/-2", "bad model descriptor 'finite:lambdas=1/-2': lambdas"),
     ],
 )
-def test_parse_model_rejects(text):
-    with pytest.raises(ConfigurationError):
+def test_parse_model_rejects(text, message):
+    with pytest.raises(ConfigurationError, match="^" + re.escape(message)):
         parse_model(text)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,8 +127,14 @@ def test_parse_norm_round_trips():
     assert parse_norm("hoelder:beta=0.3,a=0,b=2") == NormSpec(
         "hoelder", beta=0.3, interval=(0.0, 2.0)
     )
-    for text in ("l7", "lp:p=0.2", "sup:p=3", "lp:q=2", "lp:p"):
-        with pytest.raises(ConfigurationError):
+    for text, message in (
+        ("l7", "unknown norm kind 'l7' (sup|lp|hoelder)"),
+        ("lp:p=0.2", "bad norm descriptor 'lp:p=0.2': lp norm needs"),
+        ("sup:p=3", "unknown norm parameters ['p'] in 'sup:p=3'"),
+        ("lp:q=2", "unknown norm parameters ['q'] in 'lp:q=2'"),
+        ("lp:p", "bad norm parameter 'p' in 'lp:p'"),
+    ):
+        with pytest.raises(ConfigurationError, match="^" + re.escape(message)):
             parse_norm(text)
 
 

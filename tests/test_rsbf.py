@@ -149,6 +149,21 @@ def test_sample_rsbf_mc_tracks_exact_values():
         assert abs(s.ell_hat.phi - exact) < 3.5 * s.ell_hat.stderr_log
 
 
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+def test_scalar_panel_is_the_exact_law(sigma):
+    model = Scalar(sigma=sigma)
+    stream = RandomStream(51)
+    grid = (1.0, 0.5, 0.25)
+    panel = sample_rsbf(model, SUP, grid, 20, stream, estimator="analytic")
+    centers = model.sample_values(stream.spawn(0).generator(), 20)
+    assert [(s.center_id, s.eps) for s in panel] == [(i, e) for i in range(20) for e in grid]
+    for s in panel:
+        exact = float(_scalar_ell_exact(centers[s.center_id] / sigma, s.eps / sigma))
+        assert s.ell_hat.phi == exact
+        assert s.ell_hat.stderr_log == 0.0 and s.ell_hat.method == "analytic"
+        assert not s.ell_hat.bound
+
+
 def test_sample_rsbf_transfer_is_deterministic_and_enclosed():
     model = WienerPath(n_steps=64)
     stream = RandomStream(52)
