@@ -119,6 +119,9 @@ class ExperimentConfig:
             raise ConfigurationError(f"format must be one of {_FORMATS}, got {self.format!r}")
         if self.estimator not in _ESTIMATORS:
             raise ConfigurationError(f"estimator must be one of {_ESTIMATORS}")
+        if self.experiment in ("quantize", "constants") and self.estimator != "auto":
+            raise ConfigurationError(f"{self.experiment} does not read the estimator; its "
+                                     f"routes follow from the route table, so leave it auto")
         if self.mode not in _MODES:
             raise ConfigurationError(f"mode must be one of {_MODES}")
         for name, grid, increasing in (("eps", self.eps, False),

@@ -279,7 +279,8 @@ def lambda_hard(
     its prefix, so the series shares center noise across horizons (the
     superadditivity and ratio-trend checks then compare like with like).
     The per-horizon costs are deterministic band sweeps, one horizon per
-    pool task; all the quoted error is center-sampling error.
+    pool task, longest first so the longest sweep never runs alone at the
+    end; all the quoted error is center-sampling error.
     """
     if any(not 1.0 <= float(a) <= 16.0 for a in a_grid):
         raise ConfigurationError("horizons outside [1, 16] are not calibrated here")
@@ -292,7 +293,7 @@ def lambda_hard(
 
     per_center: dict[float, tuple[float, ...]] = {}
     means, ses = [], []
-    for a, costs in zip(a_grid, keyed_map(horizon_costs, a_grid)):
+    for a, costs in zip(a_grid, keyed_map(horizon_costs, a_grid[::-1])[::-1]):
         per_center[a] = tuple(costs)
         means.append(float(costs.mean()))
         ses.append(float(costs.std(ddof=1) / math.sqrt(n_centers)))

@@ -26,6 +26,7 @@ KERNEL_REACH = 8.0  # step-kernel truncation, in units of sqrt(dt)
 CELLS_PER_STEP_SD = 8  # spatial resolution: dx = sqrt(dt)/8
 TILE = 64  # most output cells per block of the banded step operator
 WEIGHT_CELLS = 2**15  # cell weights computed at once, over as many nodes as fit
+EDGE_GUARD = 2  # cells inside a cut cell that still take the full weight formula
 REFINE = 4  # step-size ratio of the two sweeps a bias-corrected probability combines
 
 
@@ -56,10 +57,15 @@ def _sweep(lo: np.ndarray, hi: np.ndarray, dt: float):
     length L across rows and nodes. One step moves every window by its own
     integer cell shift, gathers L + 2k inputs per row, and convolves all
     rows at once as one GEMM against a fixed (tile + 2k, tile) Toeplitz
-    block of the 2k+1-tap kernel, tile <= TILE. Returns (x0, dx, first
-    cell of the node-0 window, log-profile on that window); cells off the
-    window are -inf, and a row whose band cannot be followed is -inf
-    throughout.
+    block of the 2k+1-tap kernel, tile <= TILE. A band edge cuts one cell
+    of a window: window cell 1 at the lower edge, window cell cut[b, i] at
+    the upper. Only those cells and the EDGE_GUARD cells inside each take
+    the full weight formula; every other cell clears the band on both
+    sides, where the formula gives exactly the cell's own width fraction,
+    computed once per sweep. Apart from those fractions and the per-node
+    offsets, a sweep holds O(B * L). Returns (x0, dx, first cell of the
+    node-0 window, log-profile on that window); cells off the window are
+    -inf, and a row whose band cannot be followed is -inf throughout.
     """
     if lo.shape != hi.shape or lo.ndim != 2 or lo.shape[1] < 2:
         raise ConfigurationError("need equal-shape (bands, nodes) arrays with >= 2 nodes")
@@ -71,13 +77,28 @@ def _sweep(lo: np.ndarray, hi: np.ndarray, dt: float):
     dx = sd / CELLS_PER_STEP_SD
     n_bands, n_nodes = lo.shape
     x0 = lo.min(axis=1) - 2 * dx
+    if np.max(hi.max(axis=1) - x0) / dx >= 2**31 - 1:  # window offsets are int32
+        raise DomainError("a band spans more than 2**31 grid cells")
 
     k = int(math.ceil(KERNEL_REACH * sd / dx))
     g = np.exp(-0.5 * ((np.arange(-k, k + 1) * dx) / sd) ** 2)
     g /= g.sum()
 
-    first = np.floor((lo - x0[:, None]) / dx - 0.5).astype(np.int64)
-    width = int((np.ceil((hi - x0[:, None]) / dx + 0.5) - first).max()) + 1
+    # window offsets in cells, through one float scratch: node i's window
+    # starts at grid cell first, and its upper band edge cuts window cell cut
+    scratch = lo - x0[:, None]
+    scratch /= dx
+    scratch -= 0.5
+    first = np.floor(scratch, out=scratch).astype(np.int32)
+    np.subtract(hi, x0[:, None], out=scratch)
+    scratch /= dx
+    scratch += 0.5
+    np.ceil(scratch, out=scratch)
+    scratch -= first
+    width = int(scratch.max()) + 1
+    cut = scratch.astype(np.int32)
+    cut -= 1
+    del scratch
     n_tiles = -(-width // TILE)
     tile = -(-width // n_tiles)
     L = n_tiles * tile
@@ -86,33 +107,47 @@ def _sweep(lo: np.ndarray, hi: np.ndarray, dt: float):
     lag = np.arange(tile)[None, :] - np.arange(halo)[:, None] + 2 * k
     op = np.where((lag >= 0) & (lag <= 2 * k), g[np.clip(lag, 0, 2 * k)], 0.0)
 
-    # cell edges of every grid cell a window visits, read per node by window
-    base = first.min()
-    left = x0[:, None] + dx * np.arange(base, first.max() + L)
-    right = left + 0.5 * dx
-    left -= 0.5 * dx
+    # the own width fraction of every grid cell a window visits, read per
+    # node by window; a few rows at a time, so no whole-grid edge array
+    base = int(first.min())
+    own = np.empty((n_bands, int(first.max()) + L - base))
+    offsets = dx * np.arange(base, base + own.shape[1])
+    per_block = max(1, WEIGHT_CELLS // own.shape[1])
+    for r in range(0, n_bands, per_block):
+        c = x0[r : r + per_block, None] + offsets
+        own[r : r + per_block] = _cell_weights(c - 0.5 * dx, c + 0.5 * dx, dx, -np.inf, np.inf)
     view = np.lib.stride_tricks.sliding_window_view
-    left, right = view(left, L, axis=1), view(right, L, axis=1)
+    windows = view(own, L, axis=1)
 
-    # the live window sits at [pad, pad + L) of a zero-bordered buffer; the
-    # shift from node i+1's window to node i's is clipped where no input
-    # cell reaches the output either way
-    pad = L + 2 * k
-    buf = np.zeros((n_bands, 3 * L + 4 * k))
+    # the live window sits at [pad, pad + L) of a zero-bordered buffer, with
+    # pad = k + the largest shift between nodes' windows; a shift is clipped
+    # only past L + k cells, where no input cell reaches the output either way
+    shift = first[:, :-1] - first[:, 1:]
+    reach = min(max(int(shift.max()), -int(shift.min())), L + k)
+    pad = k + reach
+    shift -= k
+    starts = np.clip(shift, -pad, reach - k, out=shift)
+    starts += pad
+    buf = np.zeros((n_bands, L + 2 * pad))
     live = buf[:, pad : pad + L]
     blocks = view(buf, halo, axis=1)
-    starts = pad + np.clip(first[:, :-1] - first[:, 1:] - k, -pad, L)
     tiles = tile * np.arange(n_tiles)
     rows = np.arange(n_bands)[:, None]
     out = np.empty((n_bands * n_tiles, tile))
     log_scale = np.zeros(n_bands)
 
     per_chunk = max(1, WEIGHT_CELLS // (n_bands * L))
+    head = 2 + EDGE_GUARD  # cell 0, the cell 1 a lower edge cuts, and its guard
     for top in range(n_nodes - 1, -1, -per_chunk):
         nodes = slice(max(top - per_chunk + 1, 0), top + 1)
-        cells = rows, first[:, nodes] - base
-        weights = _cell_weights(left[cells], right[cells], dx, lo[:, nodes, None],
-                                hi[:, nodes, None])
+        weights = windows[rows, first[:, nodes] - base]
+        # the full formula on the head, and from the guard below the
+        # leftmost cell an upper edge cuts to the window's end
+        upper = int(cut[:, nodes].min()) - EDGE_GUARD
+        for a, b in ((0, L),) if upper <= head else ((0, head), (upper, L)):
+            c = x0[:, None, None] + dx * (first[:, nodes, None] + np.arange(a, b))
+            weights[..., a:b] = _cell_weights(c - 0.5 * dx, c + 0.5 * dx, dx,
+                                              lo[:, nodes, None], hi[:, nodes, None])
         for i in range(top, nodes.start - 1, -1):
             w = weights[:, i - nodes.start]
             if i == n_nodes - 1:
@@ -128,7 +163,9 @@ def _sweep(lo: np.ndarray, hi: np.ndarray, dt: float):
             np.divide(v, mx[:, None], out=live)
             log_scale += np.log(mx)
     with np.errstate(divide="ignore"):
-        return x0, dx, first[:, 0], np.log(live) + log_scale[:, None]
+        logv = np.log(live, out=out.reshape(n_bands, L))
+    logv += log_scale[:, None]
+    return x0, dx, first[:, 0], logv
 
 
 def band_log_profile(

@@ -693,6 +693,35 @@ def test_panel_asked_for_a_missing_closed_form_is_refused(tmp_path, capsys, argv
     assert not (tmp_path / "m" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["quantize", "--model", "wiener:n=64", "--r-grid", "1,2"],
+    ["constants", "--model", "wiener:n=64", "--a-grid", "1,2"],
+])
+@pytest.mark.parametrize("from_file", [False, True])
+def test_estimator_is_refused_where_it_is_not_read(tmp_path, capsys, argv, from_file):
+    if from_file:
+        f = tmp_path / "run.ini"
+        f.write_text("estimator = analytic\n")
+        extra = ["--config", str(f)]
+    else:
+        extra = ["--estimator", "mc"]
+    code = cli.main(argv + extra + ["--seed", "3", "--out", str(tmp_path / "m")])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["kind"] == "config"
+    assert error["message"].startswith(f"{argv[0]} does not read the estimator")
+    assert not (tmp_path / "m").exists()
+    # auto, spelled out or from a file, is the default run
+    cfg = cli.resolve_config(cli.build_parser().parse_args(argv + ["--seed", "3"]))
+    f = tmp_path / "auto.ini"
+    f.write_text("estimator = auto\n")
+    auto = cli.resolve_config(cli.build_parser().parse_args(
+        argv + ["--seed", "3", "--config", str(f)]))
+    assert cli.config_hash(auto) == cli.config_hash(cfg)
+
+
 def test_scalar_rsbf_rows_are_exact(tmp_path):
     code, out, _ = run_cfg(tmp_path, "s", experiment="rsbf", model="scalar", seed="11",
                            eps="1.0,0.5", centers="30")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -140,6 +141,8 @@ def test_band_validation():
         band_log_profile(np.ones(3), np.zeros(3), 0.1)
     with pytest.raises(DomainError):
         band_log_profile(np.zeros(3), np.ones(3), 0.0)
+    with pytest.raises(DomainError, match=r"2\*\*31 grid cells"):
+        band_log_profile(np.zeros(2), np.array([1.0, 3e6]), 1e-4)
 
 
 def mixed_bands(n=64, rows=6):
@@ -201,6 +204,86 @@ def test_batched_sweep_matches_per_band_loop(start):
     ok = np.isfinite(single)
     assert ok.sum() >= 3
     assert batch[ok] == pytest.approx(single[ok], rel=1e-12)
+
+
+def digest(values) -> str:
+    raw = np.ascontiguousarray(values, dtype=np.float64).tobytes()
+    return hashlib.sha256(raw).hexdigest()[:16]
+
+
+def panel_bands(eps, rows=160):
+    model = WienerPath(n_steps=256)
+    c = model.sample_values(RandomStream(160).generator(), rows)
+    return c - eps, c + eps, model.dt
+
+
+# recorded while every window cell took the full weight formula: (sha256
+# prefix, first, last) of the batched values per start, and the sha256
+# prefix of the batch's whole log-profile
+MIXED_BAND_PINS = {
+    0.0: ("a06212c601596c4b", -20.747798956254133, -2.8404694179583876),
+    0.05: ("8e289bd80589834b", -21.062505169546192, -2.945555606527625),
+    None: ("2dedc62aecd16378", -19.987739009264253, -2.2289895361336005),
+}
+MIXED_PROFILE_PIN = "80ebc8b9b3f2887f"
+PANEL_PINS = {  # 160 wiener:n=256 centers, start 0, and the batch's log-profile
+    0.5: ("752a2a98ae6e1148", -9.241101344317268, -7.333986955725655, "a341783204a52c59"),
+    0.3: ("1994bd010695c932", -22.352994642770735, -20.118321520033017, "20812ffbf97dd561"),
+}
+
+
+@pytest.mark.parametrize("start", list(MIXED_BAND_PINS))
+def test_mixed_band_sweep_is_pinned(start):
+    lo, hi, dt = mixed_bands()
+    got = band_log_probs(lo, hi, dt, start=start)
+    assert (digest(got), got[0], got[-1]) == MIXED_BAND_PINS[start]
+    assert digest(transfer._sweep(lo, hi, dt)[3]) == MIXED_PROFILE_PIN
+
+
+@pytest.mark.parametrize("eps", list(PANEL_PINS))
+def test_panel_sweep_is_pinned(eps):
+    lo, hi, dt = panel_bands(eps)
+    got = band_log_probs(lo, hi, dt)
+    profile = transfer._sweep(lo, hi, dt)[3]
+    assert (digest(got), got[0], got[-1], digest(profile)) == PANEL_PINS[eps]
+
+
+def test_panel_sweep_memory():
+    # a sweep holds its bands' windows, not two edge arrays over the grid
+    lo, hi, dt = panel_bands(1.3)
+    tracemalloc.start()
+    try:
+        got = band_log_probs(lo, hi, dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(got))
+    assert peak < 6 * 2**20
+
+
+def test_bands_a_few_cells_wide():
+    # windows no longer than the cells at a band edge: every cell takes the
+    # full weight formula, alone and next to a wide band in one batch
+    n, dt = 64, 1.0 / 64
+    dx = math.sqrt(dt) / 8
+    rng = RandomStream(43).generator()
+    w = np.cumsum(rng.standard_normal((4, n + 1)), axis=1) * 0.2 * dx
+    w[:, 0] = 0.0
+    half = np.array([0.5, 1.0, 1.5, 40.0])[:, None] * dx  # 1, 2, 3 and 80 cells
+    lo, hi = w - half, w + half
+    for a, b in zip(lo[:3], hi[:3]):
+        x, logv = band_log_profile(a, b, dt)
+        x_ref, ref = reference_log_profile(a, b, dt)
+        assert np.array_equal(x, x_ref)
+        finite = np.isfinite(ref)
+        assert 1 <= finite.sum() <= 4
+        assert np.array_equal(np.isfinite(logv), finite)
+        assert logv[finite] == pytest.approx(ref[finite], rel=1e-12, abs=1e-12)
+    for start in (0.0, None):
+        batch = band_log_probs(lo, hi, dt, start=start)
+        single = [band_log_prob(a, b, dt, start=start) for a, b in zip(lo, hi)]
+        assert np.all(np.isfinite(batch))
+        assert batch == pytest.approx(single, rel=1e-12)
 
 
 def test_batched_sweep_single_band():
