@@ -74,7 +74,7 @@ from .rsbf import (
     verify_enlarged_ball,
     verify_gauge_sandwich,
 )
-from .streams import RandomStream
+from .streams import _BLAS, RandomStream
 
 ARTIFACT_VERSION = "1"
 
@@ -764,7 +764,8 @@ _COMMANDS = {"sbf": cmd_sbf, "rsbf": cmd_rsbf, "quantize": cmd_quantize,
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     stream = RandomStream(cfg.seed)
-    tables, verdicts = _COMMANDS[cfg.experiment](cfg, stream)
+    with _BLAS.held():  # one BLAS thread per call, in pools and outside them
+        tables, verdicts = _COMMANDS[cfg.experiment](cfg, stream)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, str] = {}

@@ -33,8 +33,8 @@ from .streams import RandomStream, keyed_map
 from .transfer import (
     band_log_prob,
     band_log_prob_extrapolated,
-    band_log_probs,
     band_log_profile,
+    tube_log_probs,
 )
 
 # discrete monitoring pads the exit boundary by ~0.5826 sqrt(dt) per side
@@ -289,7 +289,7 @@ def lambda_hard(
 
     def horizon_costs(a: float) -> np.ndarray:
         w = paths[:, : round(a / dt) + 1]
-        return -band_log_probs(w - 1.0, w + 1.0, dt, start=None)
+        return -tube_log_probs(w, 1.0, dt, start=None)
 
     per_center: dict[float, tuple[float, ...]] = {}
     means, ses = [], []

@@ -33,7 +33,7 @@ from .errors import ConfigurationError, DomainError, LadderError, PowerWarning
 from .models import BrownianBridge, GaussianModel, Scalar, WienerPath
 from .norms import NormSpec, eval_norm_batch
 from .streams import RandomStream, keyed_map, worker_count
-from .transfer import CELLS_PER_STEP_SD, band_log_prob, band_log_probs, transfer_applies
+from .transfer import CELLS_PER_STEP_SD, band_log_prob, transfer_applies, tube_log_probs
 
 METHODS = ("analytic", "mc", "splitting")
 ROUTES = ("analytic", "transfer", "mc", "splitting")
@@ -216,10 +216,9 @@ def log_mass(model: GaussianModel, norm_spec: NormSpec, centers, eps):
     if exact == ("analytic",):
         lm = -_scalar_ell_exact(c / model.sigma, e / model.sigma)
         return float(lm) if lm.ndim == 0 else lm
-    e = e[:, None] if e.ndim else e
     if c.ndim == 1:
         return band_log_prob(c - e, c + e, model.dt)
-    return band_log_probs(c - e, c + e, model.dt)
+    return tube_log_probs(c, e, model.dt)
 
 
 def centered_depth(model: GaussianModel, norm_spec: NormSpec):

@@ -97,9 +97,10 @@ def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | Non
 
 
 class _SingleThreadedBlas:
-    """Holds numpy's OpenBLAS at one thread while any pool runs; pools may
-    nest or overlap, and the last to finish restores the count the first
-    one found. The thread count is process-wide, hence one instance."""
+    """Holds numpy's OpenBLAS at one thread while any pool or CLI command
+    runs; holds may nest or overlap, and the last to finish restores the
+    count the first one found. The thread count is process-wide, hence one
+    instance."""
 
     def __init__(self):
         self._lock = threading.Lock()

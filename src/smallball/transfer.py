@@ -27,7 +27,9 @@ CELLS_PER_STEP_SD = 8  # spatial resolution: dx = sqrt(dt)/8
 TILE = 64  # most output cells per block of the banded step operator
 WEIGHT_CELLS = 2**15  # cell weights computed at once, over as many nodes as fit
 EDGE_GUARD = 2  # cells inside a cut cell that still take the full weight formula
-REFINE = 4  # step-size ratio of the two sweeps a bias-corrected probability combines
+SPAN_CELLS = 2**12  # band edges read at once (rows x nodes)
+REFINE = 4  # step-size ratio of the two sweeps a bias-corrected probability combines;
+# a power of two, which _refined_edges needs to reproduce whole-band floats
 
 
 def transfer_applies(model: GaussianModel, norm_spec: NormSpec) -> bool:
@@ -48,8 +50,92 @@ def _cell_weights(left: np.ndarray, right: np.ndarray, dx: float, lo, hi) -> np.
     return np.minimum(right, 1.0, out=right)
 
 
+def _spans(n_nodes: int, size: int):
+    """Node slices of at most ``size`` nodes, from the last node down."""
+    for top in range(n_nodes, 0, -size):
+        yield slice(max(top - size, 0), top)
+
+
+def _offsets(lo: np.ndarray, hi: np.ndarray, x0: np.ndarray, dx: float):
+    """Window offsets in cells at a span of nodes, through one float
+    scratch: each node's window starts at grid cell ``first``, and its upper
+    band edge cuts window cell ``upper`` - 1."""
+    scratch = lo - x0[:, None]
+    scratch /= dx
+    scratch -= 0.5
+    first = np.floor(scratch, out=scratch).astype(np.int32)
+    np.subtract(hi, x0[:, None], out=scratch)
+    scratch /= dx
+    scratch += 0.5
+    np.ceil(scratch, out=scratch)
+    scratch -= first
+    return first, scratch.astype(np.int32)
+
+
+def _shifts(first: np.ndarray, after: np.ndarray | None) -> np.ndarray:
+    """Cells each node's window starts past the next node's, first[i] -
+    first[i+1], over a span; ``after`` is first at the node after the span,
+    None when the span ends the band, whose last node takes no step."""
+    shift = np.empty_like(first)
+    np.subtract(first[:, :-1], first[:, 1:], out=shift[:, :-1])
+    np.subtract(first[:, -1], first[:, -1] if after is None else after, out=shift[:, -1])
+    return shift
+
+
 def _sweep(lo: np.ndarray, hi: np.ndarray, dt: float):
-    """Backward sweep of a batch of bands, (B, N) each, one row per band.
+    """Backward sweep of a batch of bands, (B, N) arrays, one row per band;
+    see ``_sweep_edges``."""
+    if lo.shape != hi.shape or lo.ndim != 2 or lo.shape[1] < 2:
+        raise ConfigurationError("need equal-shape (bands, nodes) arrays with >= 2 nodes")
+    return _sweep_edges(_band_edges(lo, hi), lo.shape, dt)
+
+
+def _band_edges(lo: np.ndarray, hi: np.ndarray):
+    """Edges of (B, N) bands, per span of nodes."""
+    return lambda s: (lo[:, s], hi[:, s])
+
+
+def _tube_edges(centers: np.ndarray, eps):
+    """Edges of the tubes of radius eps (a scalar, or one per row) around
+    (B, N) centers, formed per span: the floats of slicing c - e and c + e."""
+    e = eps[:, None] if np.ndim(eps) else eps
+
+    def edges(s):
+        c = centers[:, s]
+        return c - e, c + e
+    return edges
+
+
+def _refined_edges(edges, n_nodes: int, factor: int):
+    """The edges of n_nodes coarse nodes with factor-1 linearly interpolated
+    nodes between adjacent ones, per span of fine nodes: each span
+    interpolates only the coarse nodes it covers, into the floats that
+    np.interp gives over the whole band at np.linspace's positions. The
+    factor is a power of two, so fine positions are short binary fractions."""
+    last = (n_nodes - 1) * factor
+
+    def fine(s):
+        # np.linspace(0, n - 1, last + 1) is j times its step, the rounded
+        # (n - 1) / last = 1 / factor, with the last node set to n - 1
+        t = np.arange(s.start, s.stop) * (1.0 / factor)
+        if s.stop > last:
+            t[-1] = n_nodes - 1.0
+        a = s.start // factor
+        coarse = edges(slice(a, min((s.stop - 1) // factor + 2, n_nodes)))
+        # one np.interp for all rows: row r's coarse nodes sit at r*m + j,
+        # and its fine nodes as far past r*m as past coarse node a. These
+        # shifts are exact, and so is every difference the interpolation
+        # forms, so each row reads the floats of its own np.interp
+        n_rows, m = coarse[0].shape
+        x = (m * np.arange(n_rows)[:, None] + (t - a)).ravel()
+        xp = np.arange(n_rows * m, dtype=float)
+        return tuple(np.interp(x, xp, v.ravel()).reshape(n_rows, -1) for v in coarse)
+    return fine
+
+
+def _sweep_edges(edges, shape: tuple[int, int], dt: float):
+    """Backward sweep of a batch of B bands on N nodes, whose edges
+    ``edges(nodes)`` gives as (B, span) arrays per slice of nodes.
 
     Row b lives on its own grid x0[b] + dx * j with x0[b] = lo[b].min() - 2dx.
     At node i only the row's active window is kept: the cells whose weight
@@ -62,43 +148,47 @@ def _sweep(lo: np.ndarray, hi: np.ndarray, dt: float):
     the upper. Only those cells and the EDGE_GUARD cells inside each take
     the full weight formula; every other cell clears the band on both
     sides, where the formula gives exactly the cell's own width fraction,
-    computed once per sweep. Apart from those fractions and the per-node
-    offsets, a sweep holds O(B * L). Returns (x0, dx, first cell of the
-    node-0 window, log-profile on that window); cells off the window are
-    -inf, and a row whose band cannot be followed is -inf throughout.
+    computed once per sweep. Edges are read a span of about SPAN_CELLS
+    (rows x nodes) at a time: twice up front for x0 and the extremes that
+    size the buffers, and once in the backward loop, which computes the
+    offsets of one span at a time. Apart from the own fractions, a sweep so
+    holds O(B * L) and one span, whatever N is. Returns (x0, dx, first cell
+    of the node-0 window, log-profile on that window); cells off the window
+    are -inf, and a row whose band cannot be followed is -inf throughout.
     """
-    if lo.shape != hi.shape or lo.ndim != 2 or lo.shape[1] < 2:
-        raise ConfigurationError("need equal-shape (bands, nodes) arrays with >= 2 nodes")
-    if np.any(hi <= lo):
-        raise DomainError("band width must be positive at every node")
+    n_bands, n_nodes = shape
+    span = max(1, SPAN_CELLS // n_bands)
+    lo_min = np.full(n_bands, np.inf)
+    hi_max = np.full(n_bands, -np.inf)
+    for s in _spans(n_nodes, span):
+        lo, hi = edges(s)
+        if np.any(hi <= lo):
+            raise DomainError("band width must be positive at every node")
+        np.minimum(lo_min, lo.min(axis=1), out=lo_min)
+        np.maximum(hi_max, hi.max(axis=1), out=hi_max)
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
     sd = math.sqrt(dt)
     dx = sd / CELLS_PER_STEP_SD
-    n_bands, n_nodes = lo.shape
-    x0 = lo.min(axis=1) - 2 * dx
-    if np.max(hi.max(axis=1) - x0) / dx >= 2**31 - 1:  # window offsets are int32
+    x0 = lo_min - 2 * dx
+    if np.max(hi_max - x0) / dx >= 2**31 - 1:  # window offsets are int32
         raise DomainError("a band spans more than 2**31 grid cells")
+
+    # the extremes of the offsets: window width, first cells, and shifts
+    # between nodes' windows
+    width, base, top_cell, shift_lo, shift_hi = 0, 2**31, -(2**31), 0, 0
+    after = None
+    for s in _spans(n_nodes, span):
+        first, upper = _offsets(*edges(s), x0, dx)
+        shift = _shifts(first, after)
+        width = max(width, int(upper.max()) + 1)
+        base, top_cell = min(base, int(first.min())), max(top_cell, int(first.max()))
+        shift_lo, shift_hi = min(shift_lo, int(shift.min())), max(shift_hi, int(shift.max()))
+        after = first[:, 0]
 
     k = int(math.ceil(KERNEL_REACH * sd / dx))
     g = np.exp(-0.5 * ((np.arange(-k, k + 1) * dx) / sd) ** 2)
     g /= g.sum()
-
-    # window offsets in cells, through one float scratch: node i's window
-    # starts at grid cell first, and its upper band edge cuts window cell cut
-    scratch = lo - x0[:, None]
-    scratch /= dx
-    scratch -= 0.5
-    first = np.floor(scratch, out=scratch).astype(np.int32)
-    np.subtract(hi, x0[:, None], out=scratch)
-    scratch /= dx
-    scratch += 0.5
-    np.ceil(scratch, out=scratch)
-    scratch -= first
-    width = int(scratch.max()) + 1
-    cut = scratch.astype(np.int32)
-    cut -= 1
-    del scratch
     n_tiles = -(-width // TILE)
     tile = -(-width // n_tiles)
     L = n_tiles * tile
@@ -109,8 +199,7 @@ def _sweep(lo: np.ndarray, hi: np.ndarray, dt: float):
 
     # the own width fraction of every grid cell a window visits, read per
     # node by window; a few rows at a time, so no whole-grid edge array
-    base = int(first.min())
-    own = np.empty((n_bands, int(first.max()) + L - base))
+    own = np.empty((n_bands, top_cell + L - base))
     offsets = dx * np.arange(base, base + own.shape[1])
     per_block = max(1, WEIGHT_CELLS // own.shape[1])
     for r in range(0, n_bands, per_block):
@@ -122,12 +211,8 @@ def _sweep(lo: np.ndarray, hi: np.ndarray, dt: float):
     # the live window sits at [pad, pad + L) of a zero-bordered buffer, with
     # pad = k + the largest shift between nodes' windows; a shift is clipped
     # only past L + k cells, where no input cell reaches the output either way
-    shift = first[:, :-1] - first[:, 1:]
-    reach = min(max(int(shift.max()), -int(shift.min())), L + k)
+    reach = min(max(shift_hi, -shift_lo), L + k)
     pad = k + reach
-    shift -= k
-    starts = np.clip(shift, -pad, reach - k, out=shift)
-    starts += pad
     buf = np.zeros((n_bands, L + 2 * pad))
     live = buf[:, pad : pad + L]
     blocks = view(buf, halo, axis=1)
@@ -138,30 +223,42 @@ def _sweep(lo: np.ndarray, hi: np.ndarray, dt: float):
 
     per_chunk = max(1, WEIGHT_CELLS // (n_bands * L))
     head = 2 + EDGE_GUARD  # cell 0, the cell 1 a lower edge cuts, and its guard
-    for top in range(n_nodes - 1, -1, -per_chunk):
-        nodes = slice(max(top - per_chunk + 1, 0), top + 1)
-        weights = windows[rows, first[:, nodes] - base]
-        # the full formula on the head, and from the guard below the
-        # leftmost cell an upper edge cuts to the window's end
-        upper = int(cut[:, nodes].min()) - EDGE_GUARD
-        for a, b in ((0, L),) if upper <= head else ((0, head), (upper, L)):
-            c = x0[:, None, None] + dx * (first[:, nodes, None] + np.arange(a, b))
-            weights[..., a:b] = _cell_weights(c - 0.5 * dx, c + 0.5 * dx, dx,
-                                              lo[:, nodes, None], hi[:, nodes, None])
-        for i in range(top, nodes.start - 1, -1):
-            w = weights[:, i - nodes.start]
-            if i == n_nodes - 1:
-                live[...] = w
-                continue
-            at = starts[:, i, None] + tiles
-            np.matmul(blocks[rows, at].reshape(-1, halo), op, out=out)
-            v = out.reshape(n_bands, L)
-            v *= w
-            mx = np.maximum.reduce(v, axis=1)
-            if not mx.all():  # a row that lost its band stays 0, hence -inf
-                mx[mx == 0.0] = 1.0
-            np.divide(v, mx[:, None], out=live)
-            log_scale += np.log(mx)
+    after = None
+    # spans of whole weight chunks, so every chunk is the one it would be
+    # with the offsets of the whole band at hand
+    for s in _spans(n_nodes, per_chunk * max(1, SPAN_CELLS // (n_bands * per_chunk))):
+        lo, hi = edges(s)
+        first, cut = _offsets(lo, hi, x0, dx)
+        cut -= 1
+        starts = _shifts(first, after)
+        starts -= k
+        np.clip(starts, -pad, reach - k, out=starts)
+        starts += pad
+        after = first[:, 0]
+        for top in range(s.stop - 1 - s.start, -1, -per_chunk):  # in span nodes
+            nodes = slice(max(top - per_chunk + 1, 0), top + 1)
+            weights = windows[rows, first[:, nodes] - base]
+            # the full formula on the head, and from the guard below the
+            # leftmost cell an upper edge cuts to the window's end
+            upper = int(cut[:, nodes].min()) - EDGE_GUARD
+            for a, b in ((0, L),) if upper <= head else ((0, head), (upper, L)):
+                c = x0[:, None, None] + dx * (first[:, nodes, None] + np.arange(a, b))
+                weights[..., a:b] = _cell_weights(c - 0.5 * dx, c + 0.5 * dx, dx,
+                                                  lo[:, nodes, None], hi[:, nodes, None])
+            for i in range(top, nodes.start - 1, -1):
+                w = weights[:, i - nodes.start]
+                if s.start + i == n_nodes - 1:
+                    live[...] = w
+                    continue
+                at = starts[:, i, None] + tiles
+                np.matmul(blocks[rows, at].reshape(-1, halo), op, out=out)
+                v = out.reshape(n_bands, L)
+                v *= w
+                mx = np.maximum.reduce(v, axis=1)
+                if not mx.all():  # a row that lost its band stays 0, hence -inf
+                    mx[mx == 0.0] = 1.0
+                np.divide(v, mx[:, None], out=live)
+                log_scale += np.log(mx)
     with np.errstate(divide="ignore"):
         logv = np.log(live, out=out.reshape(n_bands, L))
     logv += log_scale[:, None]
@@ -213,27 +310,30 @@ def band_log_prob(band_lo, band_hi, dt: float, start: float | None = 0.0) -> flo
     return _at_start(*band_log_profile(band_lo, band_hi, dt), start)
 
 
-def band_log_probs(band_lo, band_hi, dt: float, start: float | None = 0.0) -> np.ndarray:
-    """``band_log_prob`` for a batch of bands, (B, N) arrays, in one sweep."""
-    lo = np.asarray(band_lo, dtype=float)
-    hi = np.asarray(band_hi, dtype=float)
-    x0, dx, first, logv = _sweep(lo, hi, dt)
+def _log_probs(sweep, start: float | None) -> np.ndarray:
+    x0, dx, first, logv = sweep
     x = x0[:, None] + dx * (first[:, None] + np.arange(logv.shape[1]))
     return np.array([_at_start(xb, lb, start) for xb, lb in zip(x, logv)])
 
 
-def refine_nodes(values: np.ndarray, factor: int) -> np.ndarray:
-    """Insert factor-1 linearly interpolated nodes between adjacent ones,
-    along the last axis."""
-    if factor < 1:
-        raise ConfigurationError("refinement factor must be >= 1")
-    values = np.asarray(values, dtype=float)
-    if factor == 1:
-        return values
-    n = values.shape[-1]
-    t = np.arange(n, dtype=float)
-    tf = np.linspace(0.0, n - 1.0, (n - 1) * factor + 1)
-    return np.apply_along_axis(lambda v: np.interp(tf, t, v), -1, values)
+def band_log_probs(band_lo, band_hi, dt: float, start: float | None = 0.0) -> np.ndarray:
+    """``band_log_prob`` for a batch of bands, (B, N) arrays, in one sweep."""
+    lo = np.asarray(band_lo, dtype=float)
+    hi = np.asarray(band_hi, dtype=float)
+    return _log_probs(_sweep(lo, hi, dt), start)
+
+
+def tube_log_probs(centers, eps, dt: float, start: float | None = 0.0) -> np.ndarray:
+    """``band_log_probs`` of the tubes [c - eps, c + eps] around a batch of
+    (B, N) centers, eps one radius or one per center, in one sweep that
+    forms each tube's edges a span of nodes at a time; the same floats as
+    ``band_log_probs(c - eps, c + eps)``."""
+    c = np.asarray(centers, dtype=float)
+    e = np.asarray(eps, dtype=float)
+    if c.ndim != 2 or c.shape[1] < 2 or e.ndim > 1 or e.size not in (1, len(c)):
+        raise ConfigurationError("need (centers, nodes) centers with >= 2 nodes and "
+                                 "one radius or one per center")
+    return _log_probs(_sweep_edges(_tube_edges(c, e), c.shape, dt), start)
 
 
 def band_log_prob_extrapolated(
@@ -250,7 +350,10 @@ def band_log_prob_extrapolated(
     lo = np.atleast_2d(np.asarray(band_lo, dtype=float))
     hi = np.atleast_2d(np.asarray(band_hi, dtype=float))
     coarse = band_log_probs(lo, hi, dt, start)
-    fine = band_log_probs(refine_nodes(lo, REFINE), refine_nodes(hi, REFINE), dt / REFINE, start)
+    n_bands, n_nodes = lo.shape
+    fine_edges = _refined_edges(_band_edges(lo, hi), n_nodes, REFINE)
+    fine = _log_probs(_sweep_edges(fine_edges, (n_bands, (n_nodes - 1) * REFINE + 1), dt / REFINE),
+                      start)
     r = math.sqrt(REFINE)
     out = (r * fine - coarse) / (r - 1.0)
     return float(out[0]) if np.ndim(band_lo) == 1 else out

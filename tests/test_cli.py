@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smallball import cli, estimators, quantization
+from smallball import cli, estimators, quantization, streams, transfer
 from smallball.errors import ConfigurationError, DataError, PowerWarning, RangeError
 from smallball.estimators import centered_depth, depth_floor, sbf_analytic
 from smallball.models import BrownianBridge, Scalar, WienerPath
@@ -240,6 +240,39 @@ def test_pooled_sweeps_and_codebooks_do_not_change_bytes(tmp_path, monkeypatch,
         assert code in (0, 3)
         blobs.append([(out / name).read_bytes() for name in tables + ("manifest.json",)])
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_run_holds_one_blas_thread(tmp_path, monkeypatch, workers):
+    # from before the first sweep to the end of the command, pooled or not,
+    # and back to the count it found on an error exit too
+    log = []
+    monkeypatch.setattr(streams, "_openblas_threads",
+                        lambda: (lambda: 2, lambda n: log.append(("threads", n))))
+    real = transfer._sweep_edges
+
+    def recorded(*args):
+        log.append("sweep")
+        return real(*args)
+
+    monkeypatch.setattr(transfer, "_sweep_edges", recorded)
+    monkeypatch.setenv("SMALLBALL_WORKERS", workers)
+    argv = ["rsbf", "--model", "wiener:n=32", "--centers", "8", "--eps", "0.6,0.5",
+            "--seed", "3", "--out"]
+    assert cli.main(argv + [str(tmp_path / "ok")]) == 0
+    assert "sweep" in log
+    assert log[0] == ("threads", 1) and log[-1] == ("threads", 2)
+    assert log.count(("threads", 1)) == log.count(("threads", 2)) == 1
+
+    def failing(*args):
+        log.append("sweep")
+        raise RuntimeError("a failing sweep")
+
+    log.clear()
+    monkeypatch.setattr(transfer, "_sweep_edges", failing)
+    assert cli.main(argv + [str(tmp_path / "err")]) == 2
+    assert log[0] == ("threads", 1) and log[-1] == ("threads", 2) and "sweep" in log
+    assert log.count(("threads", 1)) == log.count(("threads", 2)) == 1
 
 
 def test_json_format_run(tmp_path):

@@ -18,8 +18,8 @@ from smallball.transfer import (
     band_log_prob_extrapolated,
     band_log_probs,
     band_log_profile,
-    refine_nodes,
     transfer_applies,
+    tube_log_probs,
 )
 
 SUP = NormSpec("sup")
@@ -110,16 +110,6 @@ def test_impossible_band_returns_neg_inf():
     lo = np.array([-1.0, 5.0, -1.0])
     hi = lo + 0.01
     assert band_log_prob(lo, hi, 1e-4, start=None) == -math.inf
-
-
-def test_refine_nodes():
-    vals = np.array([0.0, 1.0, 3.0])
-    assert np.allclose(refine_nodes(vals, 1), vals)
-    fine = refine_nodes(vals, 2)
-    assert np.allclose(fine, [0.0, 0.5, 1.0, 2.0, 3.0])
-    assert len(refine_nodes(vals, 4)) == 9
-    with pytest.raises(ConfigurationError):
-        refine_nodes(vals, 0)
 
 
 def test_extrapolation_cancels_monitoring_bias():
@@ -259,6 +249,88 @@ def test_panel_sweep_memory():
         tracemalloc.stop()
     assert np.all(np.isfinite(got))
     assert peak < 6 * 2**20
+
+
+@pytest.mark.parametrize("span_cells", [1, 7, 100, 4096])
+def test_pins_hold_at_any_span_of_nodes(monkeypatch, span_cells):
+    # the sweep reads its edges a span at a time; spans of one node, of a few
+    # nodes that split weight chunks unevenly, and of the whole band give
+    # the profiles recorded before spans existed
+    monkeypatch.setattr(transfer, "SPAN_CELLS", span_cells)
+    lo, hi, dt = mixed_bands()
+    assert digest(transfer._sweep(lo, hi, dt)[3]) == MIXED_PROFILE_PIN
+    lo, hi, dt = panel_bands(0.3)
+    assert digest(transfer._sweep(lo, hi, dt)[3]) == PANEL_PINS[0.3][3]
+
+
+def free_start_centers(rows=24, n=4096):
+    # the hard series' longest horizon: a = 16 at dt = 1/256
+    dt = 16.0 / n
+    w = np.cumsum(RandomStream(44).generator().standard_normal((rows, n + 1)), axis=1)
+    w *= math.sqrt(dt)
+    w -= w[:, :1]
+    return w, dt
+
+
+@pytest.mark.parametrize("start", [0.0, None])
+def test_tube_sweep_is_the_band_sweep(start):
+    n, dt = 64, 1.0 / 64
+    dx = math.sqrt(dt) / 8
+    rng = RandomStream(45).generator()
+    w = np.cumsum(rng.standard_normal((5, n + 1)), axis=1) * math.sqrt(dt)
+    w[:, 0] = 0.0
+    long, long_dt = free_start_centers(rows=6, n=2048)
+    cases = [(w, 0.5, dt), (w, np.array([0.3, 0.05, 1.0, 0.2, 0.004]), dt), (w[:1], 0.4, dt),
+             (w[:3], np.array([0.5, 1.0, 1.5]) * dx, dt),  # 1, 2 and 3 cells wide
+             (long, 1.0, long_dt)]  # four spans of nodes
+    for c, e, step in cases:
+        half = e[:, None] if np.ndim(e) else e
+        tube = tube_log_probs(c, e, step, start)
+        assert np.array_equal(tube, band_log_probs(c - half, c + half, step, start))
+        assert np.all(np.isfinite(tube))
+
+
+def test_tube_sweep_rejects_mismatched_radii():
+    c = np.zeros((3, 9))
+    for e in (np.ones(2), np.ones((3, 1))):
+        with pytest.raises(ConfigurationError):
+            tube_log_probs(c, e, 1.0 / 8)
+    with pytest.raises(ConfigurationError):
+        tube_log_probs(np.zeros(9), 0.5, 1.0 / 8)
+    with pytest.raises(DomainError):
+        tube_log_probs(c, 0.0, 1.0 / 8)
+
+
+def test_long_tube_sweep_memory():
+    # a sweep holds one span of per-node offsets and no tube edges, so its
+    # memory beyond the centers does not grow with the number of nodes
+    w, dt = free_start_centers()
+    tracemalloc.start()
+    try:
+        got = tube_log_probs(w, 1.0, dt, start=None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(got))
+    assert peak < 1.5 * 2**20
+
+
+@pytest.mark.parametrize("factor", [2, 4, 8])
+def test_refined_spans_are_the_whole_band_refinement(factor):
+    # each span interpolates only the coarse nodes it covers, into the
+    # floats of one np.interp per band over all of its nodes
+    rng = RandomStream(46).generator()
+    lo = rng.standard_normal((3, 17))
+    hi = lo + rng.uniform(0.1, 1.0, (3, 17))
+    fine_t = np.linspace(0.0, 16.0, 16 * factor + 1)
+    whole = [np.array([np.interp(fine_t, np.arange(17.0), v) for v in a]) for a in (lo, hi)]
+    assert np.array_equal(whole[0][:, ::factor], lo)
+    fine = transfer._refined_edges(transfer._band_edges(lo, hi), 17, factor)
+    n = 16 * factor + 1
+    for a, b in ((0, n), (0, 1), (3, 9), (factor, factor + 1), (n // 2, n - 2), (n - 5, n),
+                 (n - 1, n)):
+        got = fine(slice(a, b))
+        assert all(np.array_equal(g, v[:, a:b]) for g, v in zip(got, whole))
 
 
 def test_bands_a_few_cells_wide():
