@@ -98,6 +98,7 @@ from .transfer import (
     band_log_prob_extrapolated,
     band_log_probs,
     band_log_profile,
+    tube_log_prob_extrapolated,
     tube_log_probs,
 )
 
@@ -123,7 +124,8 @@ __all__ = [
     "pilot_curve", "richardson_extrapolate", "rkhs_norm", "sample_nearest",
     "sample_rsbf", "sbf_analytic", "sbf_curve",
     "shift_inequality_check", "soft_functional",
-    "target_size", "tilde_rsbf", "tube_log_probs", "unit_tube_cost",
+    "target_size", "tilde_rsbf", "tube_log_prob_extrapolated", "tube_log_probs",
+    "unit_tube_cost",
     "verify_distortion_gauge_match",
     "verify_enclosure", "verify_enlarged_ball",
     "verify_gauge_sandwich", "worker_count",

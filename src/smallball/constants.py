@@ -32,8 +32,8 @@ from .rsbf import K_SIGMA
 from .streams import RandomStream, keyed_map
 from .transfer import (
     band_log_prob,
-    band_log_prob_extrapolated,
     band_log_profile,
+    tube_log_prob_extrapolated,
     tube_log_probs,
 )
 
@@ -566,7 +566,7 @@ def estimate_constant(
     centers = model.sample_values(stream.spawn(0).generator(), n_centers)
 
     def radius_costs(eps: float) -> np.ndarray:
-        return -band_log_prob_extrapolated(centers - eps, centers + eps, model.dt, start=0.0)
+        return -tube_log_prob_extrapolated(centers, eps, model.dt, start=0.0)
 
     means, ses = [], []
     for costs in keyed_map(radius_costs, eps_grid):

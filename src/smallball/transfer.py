@@ -27,6 +27,8 @@ CELLS_PER_STEP_SD = 8  # spatial resolution: dx = sqrt(dt)/8
 TILE = 64  # most output cells per block of the banded step operator
 WEIGHT_CELLS = 2**15  # cell weights computed at once, over as many nodes as fit
 EDGE_GUARD = 2  # cells inside a cut cell that still take the full weight formula
+FORMULA_CELLS = 2**13  # cut-cell weights and GEMM offsets computed at once
+LEAST = math.ulp(0.0)  # the least positive float
 SPAN_CELLS = 2**12  # band edges read at once (rows x nodes)
 REFINE = 4  # step-size ratio of the two sweeps a bias-corrected probability combines;
 # a power of two, which _refined_edges needs to reproduce whole-band floats
@@ -85,20 +87,24 @@ def _shifts(first: np.ndarray, after: np.ndarray | None) -> np.ndarray:
 def _sweep(lo: np.ndarray, hi: np.ndarray, dt: float):
     """Backward sweep of a batch of bands, (B, N) arrays, one row per band;
     see ``_sweep_edges``."""
-    if lo.shape != hi.shape or lo.ndim != 2 or lo.shape[1] < 2:
-        raise ConfigurationError("need equal-shape (bands, nodes) arrays with >= 2 nodes")
     return _sweep_edges(_band_edges(lo, hi), lo.shape, dt)
 
 
 def _band_edges(lo: np.ndarray, hi: np.ndarray):
     """Edges of (B, N) bands, per span of nodes."""
+    if lo.shape != hi.shape or lo.ndim != 2 or lo.shape[1] < 2:
+        raise ConfigurationError("need equal-shape (bands, nodes) arrays with >= 2 nodes")
     return lambda s: (lo[:, s], hi[:, s])
 
 
-def _tube_edges(centers: np.ndarray, eps):
+def _tube_edges(centers: np.ndarray, eps: np.ndarray):
     """Edges of the tubes of radius eps (a scalar, or one per row) around
     (B, N) centers, formed per span: the floats of slicing c - e and c + e."""
-    e = eps[:, None] if np.ndim(eps) else eps
+    if (centers.ndim != 2 or centers.shape[1] < 2 or eps.ndim > 1
+            or eps.size not in (1, len(centers))):
+        raise ConfigurationError("need (centers, nodes) centers with >= 2 nodes and "
+                                 "one radius or one per center")
+    e = eps[:, None] if eps.ndim else eps
 
     def edges(s):
         c = centers[:, s]
@@ -152,9 +158,17 @@ def _sweep_edges(edges, shape: tuple[int, int], dt: float):
     (rows x nodes) at a time: twice up front for x0 and the extremes that
     size the buffers, and once in the backward loop, which computes the
     offsets of one span at a time. Apart from the own fractions, a sweep so
-    holds O(B * L) and one span, whatever N is. Returns (x0, dx, first cell
-    of the node-0 window, log-profile on that window); cells off the window
-    are -inf, and a row whose band cannot be followed is -inf throughout.
+    holds O(B * L) and one span, whatever N is.
+
+    A step is five numpy calls: the GEMM-input gather, the GEMM, the weight
+    multiply, the row max and the divide, so a pool's sweep threads spend
+    most of a step outside the interpreter lock. The rest is done once per
+    block of about FORMULA_CELLS (rows x nodes x cells): the GEMM offsets,
+    the full formula on the block's edge cells, and the log scale, whose
+    row maxima one accumulate adds in node order, the floats of adding them
+    one node at a time. Returns (x0, dx, first cell of the node-0 window,
+    log-profile on that window); cells off the window are -inf, and a row
+    whose band cannot be followed is -inf throughout.
     """
     n_bands, n_nodes = shape
     span = max(1, SPAN_CELLS // n_bands)
@@ -196,6 +210,7 @@ def _sweep_edges(edges, shape: tuple[int, int], dt: float):
     # out[p] = sum_a U[p + a] g[2k - a], with U the input window padded by k
     lag = np.arange(tile)[None, :] - np.arange(halo)[:, None] + 2 * k
     op = np.where((lag >= 0) & (lag <= 2 * k), g[np.clip(lag, 0, 2 * k)], 0.0)
+    del lag
 
     # the own width fraction of every grid cell a window visits, read per
     # node by window; a few rows at a time, so no whole-grid edge array
@@ -205,6 +220,7 @@ def _sweep_edges(edges, shape: tuple[int, int], dt: float):
     for r in range(0, n_bands, per_block):
         c = x0[r : r + per_block, None] + offsets
         own[r : r + per_block] = _cell_weights(c - 0.5 * dx, c + 0.5 * dx, dx, -np.inf, np.inf)
+    del c
     view = np.lib.stride_tricks.sliding_window_view
     windows = view(own, L, axis=1)
 
@@ -215,54 +231,98 @@ def _sweep_edges(edges, shape: tuple[int, int], dt: float):
     pad = k + reach
     buf = np.zeros((n_bands, L + 2 * pad))
     live = buf[:, pad : pad + L]
-    blocks = view(buf, halo, axis=1)
-    tiles = tile * np.arange(n_tiles)
-    rows = np.arange(n_bands)[:, None]
-    out = np.empty((n_bands * n_tiles, tile))
-    log_scale = np.zeros(n_bands)
 
     per_chunk = max(1, WEIGHT_CELLS // (n_bands * L))
-    head = 2 + EDGE_GUARD  # cell 0, the cell 1 a lower edge cuts, and its guard
-    after = None
     # spans of whole weight chunks, so every chunk is the one it would be
     # with the offsets of the whole band at hand
-    for s in _spans(n_nodes, per_chunk * max(1, SPAN_CELLS // (n_bands * per_chunk))):
+    span = per_chunk * max(1, SPAN_CELLS // (n_bands * per_chunk))
+    head = 2 + EDGE_GUARD  # cell 0, the cell 1 a lower edge cuts, and its guard
+    head_cells = np.arange(head)
+    band_rows = np.arange(n_bands)
+    # every band's GEMM rows come from one flat view of the buffer, so a
+    # step gathers its input with one index row, (B * n_tiles,) per node
+    gemm_rows = view(buf.reshape(-1), halo)
+    tile_rows = buf.shape[1] * band_rows[:, None] + tile * np.arange(n_tiles)
+    out = np.empty((n_bands * n_tiles, tile))
+    v = out.reshape(n_bands, L)
+    log_scale = np.zeros((n_bands, 1))
+    after = None
+    for s in _spans(n_nodes, span):
         lo, hi = edges(s)
-        first, cut = _offsets(lo, hi, x0, dx)
-        cut -= 1
+        first, tail = _offsets(lo, hi, x0, dx)
         starts = _shifts(first, after)
         starts -= k
         np.clip(starts, -pad, reach - k, out=starts)
         starts += pad
         after = first[:, 0]
-        for top in range(s.stop - 1 - s.start, -1, -per_chunk):  # in span nodes
-            nodes = slice(max(top - per_chunk + 1, 0), top + 1)
-            weights = windows[rows, first[:, nodes] - base]
-            # the full formula on the head, and from the guard below the
-            # leftmost cell an upper edge cuts to the window's end
-            upper = int(cut[:, nodes].min()) - EDGE_GUARD
-            for a, b in ((0, L),) if upper <= head else ((0, head), (upper, L)):
-                c = x0[:, None, None] + dx * (first[:, nodes, None] + np.arange(a, b))
-                weights[..., a:b] = _cell_weights(c - 0.5 * dx, c + 0.5 * dx, dx,
-                                                  lo[:, nodes, None], hi[:, nodes, None])
-            for i in range(top, nodes.start - 1, -1):
-                w = weights[:, i - nodes.start]
-                if s.start + i == n_nodes - 1:
-                    live[...] = w
-                    continue
-                at = starts[:, i, None] + tiles
-                np.matmul(blocks[rows, at].reshape(-1, halo), op, out=out)
-                v = out.reshape(n_bands, L)
-                v *= w
-                mx = np.maximum.reduce(v, axis=1)
-                if not mx.all():  # a row that lost its band stays 0, hence -inf
-                    mx[mx == 0.0] = 1.0
-                np.divide(v, mx[:, None], out=live)
-                log_scale += np.log(mx)
+        n_span = s.stop - s.start
+        # node-major from here, so the weights and formula cells of a node
+        # are one contiguous (B, cells) array
+        first, starts, lo, hi = first.T, starts.T[:, :, None], lo.T[:, :, None], hi.T[:, :, None]
+        # where the full formula's tail starts: the guard below the cell an
+        # upper edge cuts, at its leftmost over the rows
+        tail = tail.min(axis=0)
+        tail -= 1 + EDGE_GUARD
+        # blocks of whole chunks, sized by their formula cells (head and
+        # tail, at the span's longest tail) and GEMM offsets
+        n_cells = head + L - int(tail.min()) + n_tiles
+        block = per_chunk * max(1, FORMULA_CELLS // (n_bands * per_chunk * n_cells))
+        last = n_nodes - 1 - s.start  # takes no step
+        for b_top in range(n_span - 1, -1, -block):
+            b = slice(max(b_top - block + 1, 0), b_top + 1)
+            # the GEMM rows of every node, its window in the own fractions,
+            # and the full formula on the head and from the block's leftmost
+            # tail to the window's end
+            at = (starts[b] + tile_rows).reshape(b.stop - b.start, -1)
+            own_at = first[b] - base
+            upper = int(tail[b].min())
+            cells = np.arange(L) if upper <= head else np.concatenate((head_cells, np.arange(upper, L)))
+            formula = np.add(first[b, :, None], cells, dtype=float)
+            formula *= dx
+            formula += x0[:, None]
+            left = formula - 0.5 * dx
+            formula += 0.5 * dx
+            _cell_weights(left, formula, dx, lo[b], hi[b])
+            del left
+            # the running log scale, then the row maxima of the block's
+            # steps, which one accumulate adds to it in node order
+            scale = np.empty((b.stop - b.start + 1, n_bands, 1))
+            scale[0] = log_scale
+            n = 0
+            for top in range(b_top - b.start, -1, -per_chunk):
+                nodes = slice(max(top - per_chunk + 1, 0), top + 1)
+                if upper <= head:
+                    weights = formula[nodes]
+                else:
+                    weights = windows[band_rows, own_at[nodes]]
+                    weights[..., :head] = formula[nodes, :, :head]
+                    weights[..., upper:] = formula[nodes, :, head:]
+                # one step per node: gather, GEMM, weigh, row max, rescale.
+                # The max starts from the least positive float, below every
+                # positive max, so a row that lost its band divides 0 by it
+                # and stays 0, hence -inf
+                for i in range(top, nodes.start - 1, -1):
+                    w = weights[i - nodes.start]
+                    if b.start + i == last:
+                        live[...] = w
+                        continue
+                    np.matmul(gemm_rows[at[i]], op, out=out)
+                    v *= w
+                    n += 1
+                    mx = scale[n]
+                    np.maximum.reduce(v, axis=1, keepdims=True, out=mx, initial=LEAST)
+                    np.divide(v, mx, out=live)
+                # each array goes before the next of its kind is made, so
+                # no two chunks' or blocks' arrays are held at once
+                del weights, w
+            del formula, at, own_at
+            np.log(scale[1 : n + 1], out=scale[1 : n + 1])
+            np.add.accumulate(scale[: n + 1], axis=0, out=scale[: n + 1])
+            log_scale = scale[n]
     with np.errstate(divide="ignore"):
         logv = np.log(live, out=out.reshape(n_bands, L))
-    logv += log_scale[:, None]
-    return x0, dx, first[:, 0], logv
+    logv += log_scale
+    return x0, dx, first[0], logv
 
 
 def band_log_profile(
@@ -329,11 +389,21 @@ def tube_log_probs(centers, eps, dt: float, start: float | None = 0.0) -> np.nda
     forms each tube's edges a span of nodes at a time; the same floats as
     ``band_log_probs(c - eps, c + eps)``."""
     c = np.asarray(centers, dtype=float)
-    e = np.asarray(eps, dtype=float)
-    if c.ndim != 2 or c.shape[1] < 2 or e.ndim > 1 or e.size not in (1, len(c)):
-        raise ConfigurationError("need (centers, nodes) centers with >= 2 nodes and "
-                                 "one radius or one per center")
-    return _log_probs(_sweep_edges(_tube_edges(c, e), c.shape, dt), start)
+    return _log_probs(_sweep_edges(_tube_edges(c, np.asarray(eps, dtype=float)), c.shape, dt),
+                      start)
+
+
+def _extrapolated(edges, shape: tuple[int, int], dt: float, start: float | None) -> np.ndarray:
+    """The bias-corrected log-probabilities of B bands on N nodes, whose
+    edges ``edges(nodes)`` gives per slice of nodes: one sweep at dt, and one
+    at dt / REFINE on the edges refined per span."""
+    n_bands, n_nodes = shape
+    coarse = _log_probs(_sweep_edges(edges, shape, dt), start)
+    fine_edges = _refined_edges(edges, n_nodes, REFINE)
+    fine = _log_probs(_sweep_edges(fine_edges, (n_bands, (n_nodes - 1) * REFINE + 1), dt / REFINE),
+                      start)
+    r = math.sqrt(REFINE)
+    return (r * fine - coarse) / (r - 1.0)
 
 
 def band_log_prob_extrapolated(
@@ -349,11 +419,14 @@ def band_log_prob_extrapolated(
     """
     lo = np.atleast_2d(np.asarray(band_lo, dtype=float))
     hi = np.atleast_2d(np.asarray(band_hi, dtype=float))
-    coarse = band_log_probs(lo, hi, dt, start)
-    n_bands, n_nodes = lo.shape
-    fine_edges = _refined_edges(_band_edges(lo, hi), n_nodes, REFINE)
-    fine = _log_probs(_sweep_edges(fine_edges, (n_bands, (n_nodes - 1) * REFINE + 1), dt / REFINE),
-                      start)
-    r = math.sqrt(REFINE)
-    out = (r * fine - coarse) / (r - 1.0)
+    out = _extrapolated(_band_edges(lo, hi), lo.shape, dt, start)
     return float(out[0]) if np.ndim(band_lo) == 1 else out
+
+
+def tube_log_prob_extrapolated(centers, eps, dt: float, start: float | None = 0.0) -> np.ndarray:
+    """``band_log_prob_extrapolated`` of the tubes [c - eps, c + eps] around
+    a batch of (B, N) centers, eps one radius or one per center, with each
+    tube's edges formed a span of nodes at a time in both sweeps; the same
+    floats as ``band_log_prob_extrapolated(c - eps, c + eps)``."""
+    c = np.asarray(centers, dtype=float)
+    return _extrapolated(_tube_edges(c, np.asarray(eps, dtype=float)), c.shape, dt, start)

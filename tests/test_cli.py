@@ -521,6 +521,16 @@ def test_quantize_sweeps_each_centered_radius_once(tmp_path, monkeypatch):
         "d9d52bdf26af4ce9cec22e9bf2eed5e36d64a7fb333495f6266e88c648e0a916")
 
 
+def test_constants_both_tables_are_pinned(tmp_path):
+    # the constants-both benchmark run at its seed 0: free-start tube sweeps
+    # on the pool, and the digest of its tables
+    argv = ["constants", "--mode", "both", "--centers", "24", "--seed", "5",
+            "--out", str(tmp_path / "c")]
+    assert cli.main(argv) == 0
+    assert tables_digest(tmp_path / "c") == (
+        "1c9aaf2b5452a9c071cd26b35c2ce5e3af314039bd76b98cc9348eafd6aab5d2")
+
+
 def test_quantize_draws_codebooks_over_the_memory_budget(tmp_path, monkeypatch):
     argv = ["quantize", "--model", "wiener:n=16", "--norm", "lp:p=2", "--r-grid", "6",
             "--samples", "128", "--seed", "4", "--out"]

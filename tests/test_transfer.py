@@ -19,6 +19,7 @@ from smallball.transfer import (
     band_log_probs,
     band_log_profile,
     transfer_applies,
+    tube_log_prob_extrapolated,
     tube_log_probs,
 )
 
@@ -176,6 +177,12 @@ def reference_log_profile(lo, hi, dt):
 
 def test_sweep_matches_full_grid_reference():
     lo, hi, dt = mixed_bands()
+    # and bands whose width jumps from node to node, so the cell an upper
+    # edge cuts moves by many cells within one block of nodes
+    rng = RandomStream(43).generator()
+    half = rng.uniform(0.05, 0.6, size=(2, lo.shape[1]))
+    c = 0.5 * (lo[:2] + hi[:2])
+    lo, hi = np.vstack([lo, c - half]), np.vstack([hi, c + half])
     for a, b in zip(lo, hi):
         x, logv = band_log_profile(a, b, dt)
         x_ref, ref = reference_log_profile(a, b, dt)
@@ -257,6 +264,26 @@ def test_pins_hold_at_any_span_of_nodes(monkeypatch, span_cells):
     # nodes that split weight chunks unevenly, and of the whole band give
     # the profiles recorded before spans existed
     monkeypatch.setattr(transfer, "SPAN_CELLS", span_cells)
+    lo, hi, dt = mixed_bands()
+    assert digest(transfer._sweep(lo, hi, dt)[3]) == MIXED_PROFILE_PIN
+    lo, hi, dt = panel_bands(0.3)
+    assert digest(transfer._sweep(lo, hi, dt)[3]) == PANEL_PINS[0.3][3]
+
+
+# one node per chunk or block; chunks of 3 panel and 48 mixed-band nodes,
+# which split both bands unevenly; the defaults; and whole bands at once
+CHUNK_CELLS = [1, 38_400, None, 2**20]
+
+
+@pytest.mark.parametrize("formula_cells", CHUNK_CELLS)
+@pytest.mark.parametrize("weight_cells", CHUNK_CELLS)
+def test_pins_hold_at_any_chunk_of_nodes(monkeypatch, weight_cells, formula_cells):
+    # weights are gathered a chunk at a time, and the cut-cell formula, GEMM
+    # offsets and log scale done a block of chunks at a time; no grouping
+    # moves a float
+    for name, cells in (("WEIGHT_CELLS", weight_cells), ("FORMULA_CELLS", formula_cells)):
+        if cells is not None:
+            monkeypatch.setattr(transfer, name, cells)
     lo, hi, dt = mixed_bands()
     assert digest(transfer._sweep(lo, hi, dt)[3]) == MIXED_PROFILE_PIN
     lo, hi, dt = panel_bands(0.3)
@@ -366,13 +393,22 @@ def test_batched_sweep_single_band():
     assert got[0] == pytest.approx(band_log_prob(lo, hi, 1.0 / 256), rel=1e-12)
 
 
-def test_impossible_row_leaves_the_batch_finite():
+@pytest.mark.parametrize("chunk_nodes, formula_cells", [(None, None), (5, None), (5, 1)])
+def test_impossible_row_leaves_the_batch_finite(monkeypatch, chunk_nodes, formula_cells):
     lo, hi, dt = mixed_bands(n=32, rows=3)
     lo[1, 16] += 50.0  # row 1 must jump 50 in one step of sd 0.18
     hi[1, 16] += 50.0
+    if chunk_nodes is not None:
+        # chunks of 5 nodes, 28-32 down to 13-17, so row 1 dies at node 16,
+        # inside a chunk and inside its block of row maxima
+        width = transfer._sweep(lo, hi, dt)[3].shape[1]
+        monkeypatch.setattr(transfer, "WEIGHT_CELLS", chunk_nodes * 3 * width)
+    if formula_cells is not None:
+        monkeypatch.setattr(transfer, "FORMULA_CELLS", formula_cells)
     for start in (0.0, None):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a dead row must not divide 0 by 0
+            # a dead row must not divide 0 by 0, nor take log(0) outside an errstate
+            warnings.simplefilter("error")
             got = band_log_probs(lo, hi, dt, start=start)
         assert got[1] == -math.inf
         alive = [0, 2]
@@ -386,6 +422,20 @@ def test_batched_extrapolation_matches_per_band():
     batch = band_log_prob_extrapolated(lo, hi, dt, start=0.0)
     single = [band_log_prob_extrapolated(a, b, dt, start=0.0) for a, b in zip(lo, hi)]
     assert batch == pytest.approx(single, rel=1e-12)
+
+
+def test_tube_extrapolation_is_the_band_extrapolation():
+    # both sweeps form the tube's edges per span, the fine one by refining
+    # the coarse ones; the floats of stored edges c - eps and c + eps
+    w, dt = free_start_centers(rows=5, n=256)
+    radii = np.array([0.3, 0.05, 1.0, 0.2, 0.5])
+    for e, start in ((0.4, 0.0), (radii, 0.0), (1.0, None), (radii, None)):
+        half = e[:, None] if np.ndim(e) else e
+        tube = tube_log_prob_extrapolated(w, e, dt, start)
+        assert np.all(np.isfinite(tube))
+        assert np.array_equal(tube, band_log_prob_extrapolated(w - half, w + half, dt, start))
+    with pytest.raises(ConfigurationError):
+        tube_log_prob_extrapolated(w, radii[:2], dt)
 
 
 def test_wide_band_sweep_memory():
